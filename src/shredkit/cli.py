@@ -221,8 +221,8 @@ def cmd_forecast(args) -> int:
     if truncated:
         print(f"warning: truth has only {n_eval} frames; MSE rows truncated", file=sys.stderr)
     with open(out / "forecast.json", "w") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")
+        # json.dumps takes the C encoder; json.dump streams through the Python one.
+        f.write(json.dumps(payload, separators=(",", ":")) + "\n")
     pred_field = data.Field(data=report.predictions.astype(np.float32).astype(np.float64),
                             grid_shape=fld.grid_shape, dt_physical=fld.dt_physical)
     data.save_field(pred_field, out / "predictions.fld")

@@ -86,28 +86,32 @@ def load_field(path) -> Field:
     if raw[:4] != MAGIC:
         raise FieldFormatError(f"bad magic {raw[:4]!r}; expected {MAGIC.decode()}")
     off = 4
-    (version,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    if version != VERSION:
-        raise FieldFormatError(f"unsupported field version {version}")
-    (ndims,) = struct.unpack_from("<B", raw, off)
-    off += 1
-    grid = None
-    if ndims:
-        grid = struct.unpack_from(f"<{ndims}Q", raw, off)
-        off += 8 * ndims
-    t, n = struct.unpack_from("<QQ", raw, off)
-    off += 16
-    if grid is not None and int(np.prod(grid)) != n:
-        raise FieldFormatError(f"grid {grid} product != spatial size {n}")
-    if t * n > 2**40:
-        raise FieldFormatError(f"dimension overflow: {t} x {n} payload")
-    (dt_physical,) = struct.unpack_from("<d", raw, off)
-    off += 8
-    (has_scale,) = struct.unpack_from("<B", raw, off)
-    off += 1
-    smin, smax = struct.unpack_from("<dd", raw, off)
-    off += 16
+    try:
+        (version,) = struct.unpack_from("<I", raw, off)
+        off += 4
+        if version != VERSION:
+            raise FieldFormatError(f"unsupported field version {version}")
+        (ndims,) = struct.unpack_from("<B", raw, off)
+        off += 1
+        grid = None
+        if ndims:
+            grid = struct.unpack_from(f"<{ndims}Q", raw, off)
+            off += 8 * ndims
+        t, n = struct.unpack_from("<QQ", raw, off)
+        off += 16
+        if grid is not None and int(np.prod(grid)) != n:
+            raise FieldFormatError(f"grid {grid} product != spatial size {n}")
+        if t * n > 2**40:
+            raise FieldFormatError(f"dimension overflow: {t} x {n} payload")
+        (dt_physical,) = struct.unpack_from("<d", raw, off)
+        off += 8
+        (has_scale,) = struct.unpack_from("<B", raw, off)
+        off += 1
+        smin, smax = struct.unpack_from("<dd", raw, off)
+        off += 16
+    except struct.error:
+        raise FieldFormatError(
+            f"truncated header at byte {off} ({len(raw)} bytes in file)") from None
     expected = t * n * 4
     payload = raw[off:]
     if len(payload) < expected:

@@ -5,6 +5,10 @@ gradients records a node, and ``backward`` releases the graph after one
 reverse sweep. All math is numpy under the hood; tensors of any rank are
 supported, with limited broadcasting (standard numpy rules) on elementwise
 primitives and stacked batching on matmul.
+
+Besides the elementwise, reduction and shape primitives there is one fused
+layer primitive, ``gru_sequence``: a whole GRU layer over all time steps as a
+single tape node with a hand-derived backward through time.
 """
 
 from __future__ import annotations
@@ -368,6 +372,71 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
         return (g.reshape(a.data.shape),)
 
     return _node("reshape", out, (a,), backward)
+
+
+def gru_sequence(x, W_u: Tensor, U_u: Tensor, b_u: Tensor, W_r: Tensor, U_r: Tensor,
+                 b_r: Tensor, W_h: Tensor, U_h: Tensor, b_h: Tensor) -> Tensor:
+    """One GRU layer over a whole sequence: inputs (B, L, S) to hiddens (B, L, H).
+
+    Records a single tape node. The input projection of every step is one
+    ``(B·L, S) @ (S, 3H)`` matmul against the stacked gates ``[W_u|W_r|W_h]``;
+    the recurrence then runs in plain numpy from a zero initial hidden,
+    caching u, r and the candidate for the hand-derived BPTT backward. Gates
+    follow Cho et al. (2014): ``h = (1-u)*h_prev + u*cand``, with the reset
+    gate applied to ``h_prev`` before ``U_h``.
+    """
+    x = _as_tensor(x)
+    params = (W_u, U_u, b_u, W_r, U_r, b_r, W_h, U_h, b_h)
+    S, H = x.shape[-1], U_u.shape[-1]
+    if x.data.ndim != 3 or any(p.shape != s for p, s in zip(params, [(S, H), (H, H), (H,)] * 3)):
+        raise ShapeMismatchError(
+            f"gru_sequence: input {x.shape} and gates {[p.shape for p in params]} do not conform")
+    B, L, _ = x.shape
+    W = np.concatenate([W_u.data, W_r.data, W_h.data], axis=1)
+    b = np.concatenate([b_u.data, b_r.data, b_h.data])
+    U_ur = np.concatenate([U_u.data, U_r.data], axis=1)
+    xw = (x.data.reshape(B * L, S) @ W + b).reshape(B, L, 3 * H)
+    gates = np.empty((B, L, 3 * H))  # [u | r | cand] per step
+    out = np.empty((B, L, H))
+    h = np.zeros((B, H))
+    for t in range(L):
+        a = xw[:, t, :2 * H] + h @ U_ur
+        np.exp(np.negative(a, out=a), out=a)
+        a += 1.0
+        ur = np.divide(1.0, a, out=gates[:, t, :2 * H])
+        u, r = ur[:, :H], ur[:, H:]
+        cand = np.tanh(xw[:, t, 2 * H:] + (r * h) @ U_h.data, out=gates[:, t, 2 * H:])
+        h = np.add((1.0 - u) * h, u * cand, out=out[:, t])
+
+    def backward(g):
+        h_prev = np.concatenate([np.zeros((B, 1, H)), out[:, :-1]], axis=1)
+        u, r, cand = gates[..., :H], gates[..., H:2 * H], gates[..., 2 * H:]
+        # Factors turning dL/dh_t into each gate's pre-activation gradient.
+        k_u = (cand - h_prev) * u * (1.0 - u)
+        k_r = h_prev * r * (1.0 - r)
+        k_c = u * (1.0 - cand * cand)
+        carry = 1.0 - u
+        U_hT, U_urT = U_h.data.T, U_ur.T
+        d_a = np.empty((B, L, 3 * H))  # gradients of the gate pre-activations
+        dh = np.zeros((B, H))
+        for t in reversed(range(L)):
+            dh += g[:, t]
+            da = d_a[:, t]
+            np.multiply(dh, k_u[:, t], out=da[:, :H])
+            d_c = np.multiply(dh, k_c[:, t], out=da[:, 2 * H:])
+            d_rh = d_c @ U_hT
+            np.multiply(d_rh, k_r[:, t], out=da[:, H:2 * H])
+            dh = dh * carry[:, t] + d_rh * r[:, t] + da[:, :2 * H] @ U_urT
+        d_flat = d_a.reshape(B * L, 3 * H)
+        dW = x.data.reshape(B * L, S).T @ d_flat
+        dU_ur = h_prev.reshape(B * L, H).T @ d_flat[:, :2 * H]
+        dU_h = (r * h_prev).reshape(B * L, H).T @ d_flat[:, 2 * H:]
+        db = d_flat.sum(axis=0)
+        dx = (d_flat @ W.T).reshape(B, L, S) if x.requires_grad else None
+        return (dx, dW[:, :H], dU_ur[:, :H], db[:H], dW[:, H:2 * H], dU_ur[:, H:],
+                db[H:2 * H], dW[:, 2 * H:], dU_h, db[2 * H:])
+
+    return _node("gru_sequence", out, (x, *params), backward)
 
 
 # Convenience wrappers matching the primitive table.

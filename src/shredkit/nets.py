@@ -2,8 +2,11 @@
 
 Gate convention: h_t = (1-u) * h_prev + u * h_cand, with the update gate u
 multiplying the candidate, the reset gate applied to the hidden state before
-the candidate's recurrent matmul. Dropout is decoder-only (inverted, so eval
-mode needs no rescaling) and can be disabled per config.
+the candidate's recurrent matmul. The encoder runs each layer as one fused
+``diffcore.gru_sequence`` tape node over the whole lag window; ``gru_cell``
+is the per-step transcription of the same equations, kept as the reference
+the fused layer is tested against. Dropout is decoder-only (inverted, so
+eval mode needs no rescaling) and can be disabled per config.
 """
 
 from __future__ import annotations
@@ -77,7 +80,11 @@ class DecoderParams:
 
 
 def gru_cell(x: Tensor, h_prev: Tensor, layer: GruLayerParams) -> Tensor:
-    """One gated step: x is (batch, in), h_prev is (batch, hidden)."""
+    """One gated step: x is (batch, in), h_prev is (batch, hidden).
+
+    The per-step reference for ``diffcore.gru_sequence``; the encoder itself
+    runs the fused layer.
+    """
     if x.shape[-1] != layer.W_u.shape[0]:
         raise WidthMismatchError(f"gru_cell: input width {x.shape[-1]} != {layer.W_u.shape[0]}")
     if h_prev.shape[-1] != layer.U_u.shape[0]:
@@ -92,9 +99,10 @@ def gru_cell(x: Tensor, h_prev: Tensor, layer: GruLayerParams) -> Tensor:
 def encode_window(window: np.ndarray, params: GruParams) -> Tensor:
     """Map a batch of lag-windows (batch, L, S) to latents (batch, d).
 
-    The hidden sequence of each layer feeds the next; the returned latent is
-    the final time-step hidden state of the top layer. Initial hiddens are
-    zero.
+    Each layer is one fused ``diffcore.gru_sequence`` node whose hidden
+    sequence feeds the next layer; the returned latent is the final time-step
+    hidden state of the top layer. Initial hiddens are zero. ``gru_cell`` is
+    the per-step reference the fused layer is tested against.
     """
     window = np.asarray(window, dtype=np.float64)
     if window.ndim == 2:
@@ -104,15 +112,15 @@ def encode_window(window: np.ndarray, params: GruParams) -> Tensor:
         raise WidthMismatchError(f"encode_window: sensor count {nsens} != {params.input_size}")
     if lag < 1:
         raise WidthMismatchError("encode_window: empty lag window")
-    xs: list[Tensor] = [Tensor(window[:, t, :]) for t in range(lag)]
+    h = Tensor(window)
     for layer, width in zip(params.layers, params.hidden_sizes):
-        h = Tensor(np.zeros((batch, width)))
-        outs = []
-        for x in xs:
-            h = gru_cell(x, h, layer)
-            outs.append(h)
-        xs = outs
-    return xs[-1]
+        in_w, hid_w = layer.W_u.shape[0], layer.U_u.shape[0]
+        if h.shape[-1] != in_w:
+            raise WidthMismatchError(f"encode_window: input width {h.shape[-1]} != {in_w}")
+        if width != hid_w:
+            raise WidthMismatchError(f"encode_window: hidden width {width} != {hid_w}")
+        h = dc.gru_sequence(h, *layer.tensors().values())
+    return dc.reshape(dc.slice_axis(h, 1, lag - 1, lag), (batch, h.shape[-1]))
 
 
 def decode(z: Tensor, params: DecoderParams, train_mode: bool = False,

@@ -9,7 +9,9 @@ resumed runs are bit-reproducible on one platform.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 import time
 import warnings
@@ -573,17 +575,26 @@ def save_checkpoint(model: ShredModel, optimizer: dc.AdamW, epoch: int, path) ->
               "thresholds": list(model.thresholds),
               "extra": model.extra}
     header_b = json.dumps(header).encode()
-    with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
-        f.write(struct.pack("<I", CKPT_VERSION))
-        f.write(struct.pack("<I", len(header_b)))
-        f.write(header_b)
-        for name, tensor in model.named_parameters().items():
-            _write_section(f, name, tensor.data)
-        for i, mask in enumerate(model.masks):
-            _write_section(f, f"mask{i}", mask.astype(np.float64))
-        for name, arr in optimizer.state_arrays().items():
-            _write_section(f, name, arr)
+    # Write beside the target and rename over it, so a write that fails
+    # midway leaves the previous checkpoint at ``path`` intact.
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CKPT_MAGIC)
+            f.write(struct.pack("<I", CKPT_VERSION))
+            f.write(struct.pack("<I", len(header_b)))
+            f.write(header_b)
+            for name, tensor in model.named_parameters().items():
+                _write_section(f, name, tensor.data)
+            for i, mask in enumerate(model.masks):
+                _write_section(f, f"mask{i}", mask.astype(np.float64))
+            for name, arr in optimizer.state_arrays().items():
+                _write_section(f, name, arr)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> tuple[ShredModel, dc.AdamW, int]:
@@ -591,24 +602,31 @@ def load_checkpoint(path) -> tuple[ShredModel, dc.AdamW, int]:
         raw = f.read()
     if raw[:4] != CKPT_MAGIC:
         raise CheckpointError(f"bad magic {raw[:4]!r}; expected {CKPT_MAGIC.decode()}")
-    (version,) = struct.unpack_from("<I", raw, 4)
+    if len(raw) < 12:
+        raise CheckpointError(f"truncated header at byte {len(raw)}: the fixed header has 12 bytes")
+    version, hlen = struct.unpack_from("<II", raw, 4)
     if version != CKPT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    (hlen,) = struct.unpack_from("<I", raw, 8)
-    header = json.loads(raw[12:12 + hlen].decode())
+    if len(raw) < 12 + hlen:
+        raise CheckpointError(f"truncated header at byte {len(raw)}: "
+                              f"the JSON header ends at byte {12 + hlen}")
+    try:
+        header = json.loads(raw[12:12 + hlen].decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"header at byte 12 is not valid JSON: {exc}") from None
     sections = _read_sections(raw, 12 + hlen)
 
-    config = ShredConfig.from_dict(header["config"])
-    gru_tensor_names = [k for k in sections if k.startswith("gru")]
-    n_sensors = sections["gru0.W_u"].shape[0] if gru_tensor_names else 0
-    n_space = sections["dec_out.W"].shape[1]
-    model = init_model(config, n_sensors, n_space)
-    for name, tensor in model.named_parameters().items():
+    def section(name: str) -> np.ndarray:
         if name not in sections:
             raise CheckpointError(f"missing section {name!r}")
-        tensor.data = sections[name].astype(np.float64)
+        return sections[name]
+
+    config = ShredConfig.from_dict(header["config"])
+    model = init_model(config, section("gru0.W_u").shape[0], section("dec_out.W").shape[1])
+    for name, tensor in model.named_parameters().items():
+        tensor.data = section(name).astype(np.float64)
     for i in range(len(model.masks)):
-        model.masks[i] = sections[f"mask{i}"].astype(bool)
+        model.masks[i] = section(f"mask{i}").astype(bool)
     if header["thresholds"]:
         model.thresholds = [float(t) for t in header["thresholds"]]
     model.selected_index = header["selected_index"]
@@ -616,7 +634,8 @@ def load_checkpoint(path) -> tuple[ShredModel, dc.AdamW, int]:
     optimizer = dc.AdamW(model.named_parameters(), lr=config.learning_rate,
                          weight_decay=config.weight_decay, grad_clip=config.grad_clip,
                          no_decay=model.dynamics_param_names())
-    optimizer.load_state_arrays(sections, header["adam_step"])
+    optimizer.load_state_arrays({name: section(name) for name in optimizer.state_arrays()},
+                                header["adam_step"])
     model.optimizer = optimizer
     return model, optimizer, int(header["epoch"])
 

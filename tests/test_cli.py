@@ -180,7 +180,9 @@ def test_forecast_three_window_table(modal_dir, trained_dir, tmp_path):
                  "--field", str(modal_dir / "field.fld"), "--horizon", "200",
                  "--windows", "0:80,80:160,160:201", "--out", str(tmp_path)])
     assert code == 0
-    payload = json.loads((tmp_path / "forecast.json").read_text())
+    text = (tmp_path / "forecast.json").read_text()
+    assert text.count("\n") == 1 and ", " not in text  # one compact line
+    payload = json.loads(text)
     assert [r["window"] for r in payload["mse_rows"]] == [[0, 80], [80, 160], [160, 201]]
     assert (tmp_path / "predictions.fld").exists()
 
@@ -228,6 +230,23 @@ def test_forecast_missing_checkpoint_exit_2(modal_dir, tmp_path):
     code = main(["forecast", "--checkpoint", str(tmp_path / "missing.shrd"),
                  "--field", str(modal_dir / "field.fld"), "--horizon", "5",
                  "--out", str(tmp_path)])
+    assert code == 2
+
+
+@pytest.mark.parametrize("keep", [6, 100, -40])
+def test_forecast_truncated_checkpoint_exit_2(modal_dir, trained_dir, tmp_path, keep):
+    ckpt = tmp_path / "cut.shrd"
+    ckpt.write_bytes((trained_dir / "model.shrd").read_bytes()[:keep])
+    code = main(["forecast", "--checkpoint", str(ckpt), "--field", str(modal_dir / "field.fld"),
+                 "--horizon", "5", "--out", str(tmp_path)])
+    assert code == 2
+
+
+def test_forecast_truncated_field_exit_2(modal_dir, trained_dir, tmp_path):
+    fld = tmp_path / "cut.fld"
+    fld.write_bytes((modal_dir / "field.fld").read_bytes()[:20])
+    code = main(["forecast", "--checkpoint", str(trained_dir / "model.shrd"),
+                 "--field", str(fld), "--horizon", "5", "--out", str(tmp_path)])
     assert code == 2
 
 

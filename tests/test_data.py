@@ -56,6 +56,26 @@ def test_load_rejects_truncated_payload(tmp_path):
         data.load_field(path)
 
 
+@pytest.mark.parametrize("grid", [None, (4, 5)])
+def test_load_rejects_every_strict_prefix(tmp_path, grid):
+    rng = np.random.default_rng(4)
+    path = tmp_path / "p.fld"
+    data.save_field(_random_field(rng, t=3, n=20, grid=grid), path)
+    blob = path.read_bytes()
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(data.FieldFormatError):
+            data.load_field(path)
+
+
+def test_load_truncated_header_names_offset(tmp_path):
+    path = tmp_path / "h.fld"
+    data.save_field(_random_field(np.random.default_rng(5)), path)
+    path.write_bytes(path.read_bytes()[:9])  # magic, version, ndims: t and n are cut
+    with pytest.raises(data.FieldFormatError, match="truncated header at byte 9"):
+        data.load_field(path)
+
+
 def test_load_rejects_grid_product_mismatch(tmp_path):
     rng = np.random.default_rng(3)
     fld = _random_field(rng, t=4, n=20, grid=(4, 5))

@@ -89,6 +89,39 @@ def test_finite_diff_gru_cell():
     assert dc.finite_diff_check(f, params, h=1e-6) < 1e-5
 
 
+def test_finite_diff_gru_sequence_with_input_gradient():
+    rng = np.random.default_rng(12)
+    layer = nets.init_gru(rng, input_size=3, hidden_sizes=[4]).layers[0]
+    x = Tensor(rng.standard_normal((2, 5, 3)), requires_grad=True)
+    target = rng.standard_normal((2, 5, 4))
+    params = [x] + list(layer.tensors().values())
+
+    def f():
+        return dc.mse(dc.gru_sequence(x, *layer.tensors().values()), Tensor(target))
+
+    assert dc.finite_diff_check(f, params, h=1e-6) < 1e-6
+
+
+def test_gru_sequence_is_one_node_and_skips_constant_input_gradient():
+    rng = np.random.default_rng(13)
+    layer = nets.init_gru(rng, input_size=3, hidden_sizes=[4]).layers[0]
+    x = Tensor(rng.standard_normal((2, 6, 3)))
+    out = dc.gru_sequence(x, *layer.tensors().values())
+    assert out.shape == (2, 6, 4) and out.op == "gru_sequence"
+    assert out.parents[0] is x
+    dc.backward(out.sum())
+    assert x.grad is None
+    assert all(t.grad.shape == t.shape for t in layer.tensors().values())
+
+
+def test_gru_sequence_shape_mismatch():
+    layer = nets.init_gru(np.random.default_rng(14), input_size=3, hidden_sizes=[4]).layers[0]
+    with pytest.raises(dc.ShapeMismatchError, match="gru_sequence"):
+        dc.gru_sequence(Tensor(np.ones((2, 5, 2))), *layer.tensors().values())
+    with pytest.raises(dc.ShapeMismatchError, match="gru_sequence"):
+        dc.gru_sequence(Tensor(np.ones((5, 3))), *layer.tensors().values())
+
+
 def test_finite_diff_decoder():
     rng = np.random.default_rng(6)
     dec = nets.init_decoder(rng, latent_dim=3, widths=[8], output_dim=5)

@@ -197,6 +197,82 @@ def test_top_layer_width_is_latent_dim():
     assert z.shape == (2, 3)
 
 
+def _cell_unroll(window, gru):
+    """Per-step encoder built from ``gru_cell``: the reference for the fused layers."""
+    xs = [Tensor(window[:, t]) for t in range(window.shape[1])]
+    for layer, width in zip(gru.layers, gru.hidden_sizes):
+        h = Tensor(np.zeros((window.shape[0], width)))
+        outs = []
+        for x in xs:
+            h = nets.gru_cell(x, h, layer)
+            outs.append(h)
+        xs = outs
+    return xs[-1]
+
+
+def test_encode_window_forward_and_gradients_match_cell_unroll():
+    rng = np.random.default_rng(24)
+    gru, dec = nets.init_params(3, 5, [6, 3], [8], 7)
+    window = rng.standard_normal((9, 7, 5))
+    target = rng.standard_normal((9, 7))
+    results = []
+    for encode in (_cell_unroll, nets.encode_window):
+        z = encode(window, gru)
+        dc.backward(dc.mse(nets.decode(z, dec), Tensor(target)))
+        results.append((z.data, {k: t.grad for k, t in gru.tensors().items()}))
+        for t in list(gru.tensors().values()) + list(dec.tensors().values()):
+            t.zero_grad()
+    (z_ref, g_ref), (z, g) = results
+    assert np.max(np.abs(z - z_ref)) < 1e-12
+    for name in g_ref:
+        scale = max(1.0, np.max(np.abs(g_ref[name])))
+        assert np.max(np.abs(g[name] - g_ref[name])) / scale < 1e-12, name
+
+
+def _tape_size(root):
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if node.op is not None and id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.parents)
+    return len(seen)
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_encoder_tape_is_per_layer_not_per_step(layers):
+    gru = nets.init_gru(np.random.default_rng(25), input_size=3, hidden_sizes=[4] * layers)
+    rng = np.random.default_rng(26)
+    sizes = [_tape_size(nets.encode_window(rng.standard_normal((2, lag, 3)), gru))
+             for lag in (1, 5, 26)]
+    assert sizes[0] == sizes[1] == sizes[2] <= 2 * layers + 2
+
+
+def test_encode_window_layer_width_mismatch():
+    rng = np.random.default_rng(27)
+    gru = nets.init_gru(rng, input_size=3, hidden_sizes=[4, 2])
+    gru.hidden_sizes = [5, 2]
+    with pytest.raises(nets.WidthMismatchError, match="hidden width"):
+        nets.encode_window(np.zeros((1, 5, 3)), gru)
+    gru.hidden_sizes = [4, 2]
+    gru.layers[1] = nets.init_gru(rng, input_size=5, hidden_sizes=[2]).layers[0]
+    with pytest.raises(nets.WidthMismatchError, match="input width"):
+        nets.encode_window(np.zeros((1, 5, 3)), gru)
+
+
+def test_two_layer_encoder_decoder_gradient():
+    rng = np.random.default_rng(28)
+    gru, dec = nets.init_params(2, 3, [4, 2], [5], 4)
+    window = rng.standard_normal((2, 3, 3))
+    target = rng.standard_normal((2, 4))
+    params = list(gru.tensors().values()) + list(dec.tensors().values())
+
+    def f():
+        return dc.mse(nets.decode(nets.encode_window(window, gru), dec), Tensor(target))
+
+    assert dc.finite_diff_check(f, params, h=1e-6) < 1e-6
+
+
 def test_full_composition_gradient():
     rng = np.random.default_rng(10)
     gru, dec = nets.init_params(1, 4, [3], [6], 5)

@@ -311,6 +311,59 @@ def test_checkpoint_truncation_names_section(tmp_path):
         shred.load_checkpoint(path)
 
 
+def _small_checkpoint(path, mode="sindy"):
+    cfg = _tiny_config(latent_dim=2, decoder_widths=(3,), ensemble_size=2, poly_degree=1,
+                       mode=mode)
+    model = shred.init_model(cfg, n_sensors=2, n_space=3)
+    optimizer = dc.AdamW(model.named_parameters())
+    shred.save_checkpoint(model, optimizer, 0, path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["sindy", "koopman"])
+def test_checkpoint_every_strict_prefix_raises_checkpoint_error(tmp_path, mode):
+    path = tmp_path / "m.shrd"
+    blob = _small_checkpoint(path, mode)
+    shred.load_checkpoint(path)
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(shred.CheckpointError):
+            shred.load_checkpoint(path)
+
+
+def test_checkpoint_truncated_fixed_header_names_offset(tmp_path):
+    path = tmp_path / "m.shrd"
+    path.write_bytes(b"SHRD\x01\x00")
+    with pytest.raises(shred.CheckpointError, match="truncated header at byte 6"):
+        shred.load_checkpoint(path)
+
+
+def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
+    ds = _tiny_dataset()
+    model, _ = shred.train(ds, _tiny_config(epochs=1))
+    path = tmp_path / "m.shrd"
+    shred.save_checkpoint(model, model.optimizer, 1, path)
+    before = path.read_bytes()
+
+    real_write = shred._write_section
+    calls = []
+
+    def failing_write(f, name, array):
+        calls.append(name)
+        if len(calls) == 5:
+            raise OSError("disk full")
+        real_write(f, name, array)
+
+    monkeypatch.setattr(shred, "_write_section", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        shred.save_checkpoint(model, model.optimizer, 2, path)
+    assert len(calls) == 5
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.shrd"]
+    _, _, epoch = shred.load_checkpoint(path)
+    assert epoch == 1
+
+
 def test_checkpoint_corrupt_payload_checksum(tmp_path):
     ds = _tiny_dataset()
     cfg = _tiny_config(epochs=1)
