@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -181,8 +182,8 @@ def cmd_forecast(args) -> int:
     sensors = extra.get("sensors")
     if not sensors:
         raise UsageError("checkpoint carries no sensor indices")
-    if max(sensors) >= fld.n_space:
-        raise UsageError(f"checkpoint sensors exceed field size {fld.n_space}")
+    if min(sensors) < 0 or max(sensors) >= fld.n_space:
+        raise UsageError(f"checkpoint sensors outside field size {fld.n_space}")
     lag = model.config.lag
     start = args.start
     if start + lag > fld.n_frames:
@@ -285,7 +286,9 @@ def cmd_landscape(args) -> int:
 def cmd_validate_theory(args) -> int:
     out = _ensure_out(args.out)
     if args.suite == "thm1":
+        t0 = time.perf_counter()
         report = evaluation.theory_scaling_experiment(trials=args.trials, seed=args.seed)
+        wall = time.perf_counter() - t0
         payload = report.to_dict()
         slope_ok = -0.6 <= report.slope_n <= -0.4
         lo, hi = report.s_ratio_ci
@@ -296,7 +299,9 @@ def cmd_validate_theory(args) -> int:
         print(json.dumps({"slope_n": report.slope_n, "slope_ok": slope_ok,
                           "s_ratio": report.s_ratio, "noise_linearity_ok": ratio_ok}))
         _write_manifest(out, "validate-theory", {"suite": "thm1", "seed": args.seed,
-                                                 "trials": args.trials})
+                                                 "trials": args.trials,
+                                                 "workers": evaluation.worker_count(),
+                                                 "wall_time_s": wall})
         return EXIT_OK if (slope_ok and ratio_ok) else EXIT_ACCEPTANCE
     gru_epochs = args.gru_epochs or evaluation.SineComparisonConfig.gru_epochs
     if args.suite == "sine":

@@ -139,13 +139,16 @@ def destandardize(fld: Field) -> Field:
 
 @dataclass(frozen=True)
 class SensorSet:
-    indices: tuple[int, ...]  # strictly increasing spatial positions
+    indices: tuple[int, ...]  # strictly increasing spatial positions, from 0
     seed: int
 
     def __post_init__(self):
         idx = self.indices
         if any(b <= a for a, b in zip(idx, idx[1:])):
             raise SensorSelectionError("sensor indices must be strictly increasing")
+        if idx and idx[0] < 0:
+            # numpy would read a negative index from the end of the field.
+            raise SensorSelectionError(f"sensor index {idx[0]} is negative")
 
 
 def select_sensors(fld: Field, count: int, seed: int, drop_constant: bool = False) -> SensorSet:
@@ -292,7 +295,13 @@ def gen_modal_field(grid: tuple[int, int], modes: list[tuple[int, float, float, 
 
 
 def _rk4(deriv, state: np.ndarray, dt: float, steps: int) -> np.ndarray:
-    out = np.empty((steps + 1, state.size))
+    """Classical RK4 path of shape (steps + 1,) + state.shape.
+
+    ``state`` may stack independent systems, for example (m, d); the stages
+    are elementwise, so each system follows the same arithmetic as a run on
+    its own whenever ``deriv`` acts row by row.
+    """
+    out = np.empty((steps + 1,) + state.shape)
     out[0] = state
     y = state.astype(np.float64)
     with np.errstate(over="ignore", invalid="ignore"):

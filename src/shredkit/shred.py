@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import contextlib
 import json
+import numbers
 import os
 import struct
 import time
 import warnings
 import zlib
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 import scipy.linalg
@@ -50,6 +51,30 @@ class SelectionError(RuntimeError):
 
 class CheckpointError(RuntimeError):
     pass
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# Accepted values per ShredConfig field annotation (kept as strings by the
+# postponed annotations); an int is accepted where a float is declared.
+_FIELD_CHECKS = {
+    "int": _is_int,
+    "float": _is_real,
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "int | None": lambda v: v is None or _is_int(v),
+    "float | None": lambda v: v is None or _is_real(v),
+    "tuple[int, ...]": lambda v: isinstance(v, tuple) and all(map(_is_int, v)),
+    "tuple[tuple[str, float], ...]": lambda v: isinstance(v, tuple) and all(
+        isinstance(t, tuple) and len(t) == 2 and isinstance(t[0], str) and _is_real(t[1])
+        for t in v),
+}
 
 
 def rng_for(seed: int, *key: int) -> np.random.Generator:
@@ -87,6 +112,10 @@ class ShredConfig:
     refit_on_prune: bool = False       # least-squares refit of active terms at each event
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _FIELD_CHECKS[f.type](value):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         positive = {"lag": self.lag, "latent_dim": self.latent_dim,
                     "batch_size": self.batch_size, "learning_rate": self.learning_rate,
                     "dt": self.dt, "ministeps": self.ministeps,
@@ -131,17 +160,19 @@ class ShredConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ShredConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
         known = {f for f in ShredConfig.__dataclass_fields__}
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(d)
-        if "trig" in kwargs:
-            kwargs["trig"] = tuple((k, float(f)) for k, f in kwargs["trig"])
-        if "decoder_widths" in kwargs:
-            kwargs["decoder_widths"] = tuple(int(w) for w in kwargs["decoder_widths"])
+        for key in ("trig", "decoder_widths"):
+            if isinstance(kwargs.get(key), list):
+                kwargs[key] = tuple(tuple(v) if isinstance(v, list) else v for v in kwargs[key])
         cfg = ShredConfig(**kwargs)
         cfg.validate()
+        cfg.trig = tuple((k, float(f)) for k, f in cfg.trig)
         return cfg
 
 
@@ -597,6 +628,16 @@ def save_checkpoint(model: ShredModel, optimizer: dc.AdamW, epoch: int, path) ->
         raise
 
 
+# Header keys every checkpoint carries, and the values each one accepts.
+_HEADER_CHECKS = {
+    "config": lambda v: isinstance(v, dict),
+    "epoch": lambda v: _is_int(v) and v >= 0,
+    "adam_step": lambda v: _is_int(v) and v >= 0,
+    "selected_index": lambda v: v is None or (_is_int(v) and v >= 0),
+    "thresholds": lambda v: isinstance(v, list) and all(map(_is_real, v)),
+}
+
+
 def load_checkpoint(path) -> tuple[ShredModel, dc.AdamW, int]:
     with open(path, "rb") as f:
         raw = f.read()
@@ -614,6 +655,15 @@ def load_checkpoint(path) -> tuple[ShredModel, dc.AdamW, int]:
         header = json.loads(raw[12:12 + hlen].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"header at byte 12 is not valid JSON: {exc}") from None
+    if not isinstance(header, dict):
+        raise CheckpointError("header is not a JSON object")
+    for key, check in _HEADER_CHECKS.items():
+        if key not in header:
+            raise CheckpointError(f"header lacks key {key!r}")
+        if not check(header[key]):
+            raise CheckpointError(f"header key {key!r} has an invalid value {header[key]!r}")
+    if not isinstance(header.get("extra", {}), dict):
+        raise CheckpointError("header key 'extra' is not a JSON object")
     sections = _read_sections(raw, 12 + hlen)
 
     def section(name: str) -> np.ndarray:
@@ -621,8 +671,17 @@ def load_checkpoint(path) -> tuple[ShredModel, dc.AdamW, int]:
             raise CheckpointError(f"missing section {name!r}")
         return sections[name]
 
-    config = ShredConfig.from_dict(header["config"])
+    try:
+        config = ShredConfig.from_dict(header["config"])
+    except ConfigError as exc:
+        raise CheckpointError(f"header config: {exc}") from None
     model = init_model(config, section("gru0.W_u").shape[0], section("dec_out.W").shape[1])
+    if header["selected_index"] is not None and header["selected_index"] >= len(model.xi):
+        raise CheckpointError(f"selected_index {header['selected_index']} out of range "
+                              f"for {len(model.xi)} ensemble members")
+    if header["thresholds"] and len(header["thresholds"]) != len(model.xi):
+        raise CheckpointError(f"{len(header['thresholds'])} thresholds "
+                              f"for {len(model.xi)} ensemble members")
     for name, tensor in model.named_parameters().items():
         tensor.data = section(name).astype(np.float64)
     for i in range(len(model.masks)):

@@ -274,20 +274,24 @@ def fit_stlsq(Z: np.ndarray, dZ: np.ndarray, spec: LibrarySpec, threshold: float
     mask = np.ones((p, d), dtype=bool)
     for j in range(d):
         active = mask[:, j]
+        settled = None   # the solve on ``active`` when it kept every term
         for _ in range(max(1, iters)):
             if not active.any():
                 break
             coef = _solve_ridge(theta[:, active], dZ[:, j], ridge)
             keep = np.abs(coef) >= threshold
+            if keep.all():
+                settled = coef
+                break
             new_active = active.copy()
             new_active[active] = keep
-            if (new_active == active).all():
-                active = new_active
-                break
             active = new_active
         mask[:, j] = active
         Xi[:, j] = 0.0
-        if active.any():
+        if ridge == 0 and settled is not None:
+            # That solve was already the ridge-free lstsq on the final support.
+            Xi[active, j] = settled
+        elif active.any():
             # Ridge-free polish on the surviving support; rank-deficient
             # supports fall back to the minimum-norm solution.
             Xi[active, j] = np.linalg.lstsq(theta[:, active], dZ[:, j], rcond=None)[0]

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import shredkit
-from shredkit import cli, data
+from shredkit import cli, data, evaluation
 from shredkit.cli import main
 
 
@@ -116,6 +116,29 @@ def test_train_unknown_train_key_exit_2(modal_dir, tmp_path):
     p = tmp_path / "c.json"
     p.write_text(json.dumps(cfg))
     assert main(["train", str(p)]) == 2
+
+
+@pytest.mark.parametrize("over", [{"lag": "26"}, {"dropout": "0.1"}, {"epochs": 3.0},
+                                  {"decoder_widths": [12.5]}])
+def test_train_wrongly_typed_config_exit_2(modal_dir, tmp_path, capsys, over):
+    cfg_path = _run_config(modal_dir, tmp_path / "typed", **over)
+    assert main(["train", str(cfg_path)]) == 2
+    assert f"error: {next(iter(over))} must be" in capsys.readouterr().err
+
+
+def test_train_negative_sensor_index_exit_2(modal_dir, tmp_path, capsys):
+    sensor_file = tmp_path / "sensors.csv"
+    sensor_file.write_text("-1\n5\n9\n")
+    out = tmp_path / "run"
+    cfg = {"field": str(modal_dir / "field.fld"), "sensors": {"file": str(sensor_file)},
+           "out_dir": str(out),
+           "train": dict(lag=8, latent_dim=2, epochs=1, batch_size=64, dt=0.02,
+                         ensemble_size=2, poly_degree=1, decoder_widths=[8], seed=1)}
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["train", str(p)]) == 2
+    assert "negative" in capsys.readouterr().err
+    assert not (out / "model.shrd").exists()
 
 
 def test_train_numerical_abort_exit_3(modal_dir, tmp_path):
@@ -242,6 +265,22 @@ def test_forecast_truncated_checkpoint_exit_2(modal_dir, trained_dir, tmp_path, 
     assert code == 2
 
 
+@pytest.mark.parametrize("key", ["config", "thresholds", "selected_index", "adam_step", "epoch"])
+def test_forecast_checkpoint_header_without_key_exit_2(modal_dir, trained_dir, tmp_path,
+                                                       capsys, key):
+    blob = (trained_dir / "model.shrd").read_bytes()
+    hlen = int.from_bytes(blob[8:12], "little")
+    header = json.loads(blob[12:12 + hlen])
+    del header[key]
+    new = json.dumps(header).encode()
+    ckpt = tmp_path / "nokey.shrd"
+    ckpt.write_bytes(blob[:8] + len(new).to_bytes(4, "little") + new + blob[12 + hlen:])
+    code = main(["forecast", "--checkpoint", str(ckpt), "--field", str(modal_dir / "field.fld"),
+                 "--horizon", "5", "--out", str(tmp_path)])
+    assert code == 2
+    assert key in capsys.readouterr().err
+
+
 def test_forecast_truncated_field_exit_2(modal_dir, trained_dir, tmp_path):
     fld = tmp_path / "cut.fld"
     fld.write_bytes((modal_dir / "field.fld").read_bytes()[:20])
@@ -288,6 +327,21 @@ def test_validate_theory_unknown_suite_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["validate-theory", "--suite", "thm9", "--out", str(tmp_path)])
     assert exc.value.code == 2
+
+
+def test_validate_theory_thm1_manifest_records_workers_and_wall_time(tmp_path, monkeypatch):
+    sweep = evaluation.theory_scaling_experiment
+    monkeypatch.setattr(evaluation, "theory_scaling_experiment",
+                        lambda **kw: sweep(n_values=[100, 1000, 10_000], **kw))
+    monkeypatch.setenv("SHRED_THREADS", "1")
+    main(["validate-theory", "--suite", "thm1", "--seed", "2", "--out", str(tmp_path)])
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["workers"] == 1
+    assert manifest["wall_time_s"] > 0
+    assert {"suite", "seed", "trials"} <= set(manifest)
+    payload = json.loads((tmp_path / "thm1.json").read_text())
+    assert set(payload) == {"cells", "slope_n", "slope_n_ci", "s_ratio", "s_ratio_ci",
+                            "lambda_min_overall", "slope_ok", "noise_linearity_ok"}
 
 
 def test_validate_theory_sine_suite(tmp_path):

@@ -175,6 +175,16 @@ def test_sensor_csv_round_trip(tmp_path):
     assert back.indices == sensors.indices
 
 
+@pytest.mark.parametrize("indices", [(-1, 3), (-5,)])
+def test_sensor_set_rejects_negative_index(tmp_path, indices):
+    with pytest.raises(data.SensorSelectionError, match="negative"):
+        data.SensorSet(indices=indices, seed=-1)
+    path = tmp_path / "s.csv"
+    path.write_text("".join(f"{i}\n" for i in indices))
+    with pytest.raises(data.SensorSelectionError, match="negative"):
+        data.load_sensor_csv(path)
+
+
 def test_make_windows_count():
     rng = np.random.default_rng(9)
     fld = _random_field(rng, t=100, n=6)
@@ -348,3 +358,47 @@ def test_sine_ode_energy_property(x0, v0):
     traj = data.gen_sine_ode(x0, v0, 200, 0.01)
     energy = 0.5 * traj[:, 1] ** 2 - np.cos(traj[:, 0])
     assert np.max(np.abs(energy - energy[0])) < 1e-8
+
+
+def _rk4_oracle(deriv, y, dt, steps):
+    """Plain per-step RK4 loop on one state, the reference for ``data._rk4``."""
+    out = [y]
+    for _ in range(steps):
+        k1 = deriv(y)
+        k2 = deriv(y + 0.5 * dt * k1)
+        k3 = deriv(y + 0.5 * dt * k2)
+        k4 = deriv(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out.append(y)
+    return np.array(out)
+
+
+def test_rk4_stacked_state_equals_separate_runs():
+    def deriv(y):
+        return np.stack([y[..., 1], -np.sin(y[..., 0]) - 0.3 * y[..., 1] ** 3], axis=-1)
+
+    states = np.random.default_rng(4).uniform(-2.0, 2.0, size=(7, 2))
+    stacked = data._rk4(deriv, states, 0.02, 150)
+    assert stacked.shape == (151, 7, 2)
+    for i, y0 in enumerate(states):
+        single = data._rk4(deriv, y0, 0.02, 150)
+        assert single.shape == (151, 2)
+        assert np.array_equal(stacked[:, i], single)
+
+
+def test_sine_ode_matches_rk4_oracle():
+    traj = data.gen_sine_ode(2.0, 0.3, 400, 0.02)
+    ref = _rk4_oracle(lambda y: np.array([y[1], -np.sin(y[0])]), np.array([2.0, 0.3]), 0.02, 400)
+    assert np.array_equal(traj, ref)
+
+
+def test_pendulum_matches_rk4_oracle():
+    c = data.PendulumCoeffs()
+
+    def deriv(y):
+        z, v = y
+        return np.array([v, c.dz2 * v**2 + c.dz3 * v**3
+                         + c.sin_z * np.sin(z) + c.sin_dz * np.sin(v)])
+
+    traj = data.simulate_pendulum(1.0, 0.5, c, 300, 0.02)
+    assert np.array_equal(traj, _rk4_oracle(deriv, np.array([1.0, 0.5]), 0.02, 299))

@@ -1,5 +1,7 @@
 """Forecasting, error tables, landscape scanning, convexity, scaling harness."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -302,3 +304,60 @@ def test_sine_comparison_recovers_sin_coefficient():
     cfg = SineComparisonConfig(gru_epochs=1, n_train=800, n_test=100)
     report = evaluation.sine_comparison(cfg)
     assert abs(report.sin_coefficient + 1.0) < 1e-3
+
+
+def _scalar_scaling_trial(n, noise, horizon, seed):
+    """Per-trial reference: one fit, then a scalar RK4 rollout of that model alone."""
+    G = np.array([[-0.1, 1.0], [-1.0, -0.1]])
+    spec = sindy.LibrarySpec(dim=2, poly_degree=3, include_constant=True)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    X = rng.uniform(-1.0, 1.0, size=(n, 2))
+    theta = sindy.evaluate_library(X, spec)
+    xi_true = np.zeros((spec.term_count, 2))
+    xi_true[spec.linear_slice, :] = G.T
+    targets = X @ G.T + noise * rng.standard_normal((n, 2))
+    lam_min = float(np.linalg.eigvalsh(theta.T @ theta).min()) / n
+    fit = sindy.fit_stlsq(X, targets, spec, threshold=0.0, iters=1, ridge=0.0)
+    coef_err = float(np.linalg.norm(fit.Xi - xi_true))
+    x0 = np.array([1.0, 0.0])
+    truth = scipy.linalg.expm(horizon * G) @ x0
+    dt = 0.01
+    z = x0.copy()
+    for _ in range(int(round(horizon / dt))):
+        k1 = (sindy.evaluate_library(z[None], spec) @ fit.Xi)[0]
+        k2 = (sindy.evaluate_library((z + 0.5 * dt * k1)[None], spec) @ fit.Xi)[0]
+        k3 = (sindy.evaluate_library((z + 0.5 * dt * k2)[None], spec) @ fit.Xi)[0]
+        k4 = (sindy.evaluate_library((z + dt * k3)[None], spec) @ fit.Xi)[0]
+        z = z + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return coef_err, float(np.linalg.norm(z - truth)), lam_min
+
+
+def test_scaling_sweep_matches_per_trial_scalar_rk4(monkeypatch):
+    monkeypatch.setenv("SHRED_THREADS", "1")
+    n_values, noise_values, trials, seed, horizon = [60, 300], [0.1, 0.2], 20, 5, 1.5
+    report = evaluation.theory_scaling_experiment(n_values=n_values, noise_values=noise_values,
+                                                  horizon=horizon, trials=trials, seed=seed)
+    cell = 0
+    for noise in noise_values:
+        for n in n_values:
+            got = report.cells[cell]
+            rows = [_scalar_scaling_trial(n, noise, horizon, seed * 1_000_003 + cell * 1009 + t)
+                    for t in range(trials)]
+            coef, roll, lam = (np.array(col) for col in zip(*rows))
+            assert (got.n, got.noise) == (n, noise)
+            assert got.rollout_err_mean == float(roll.mean())
+            assert got.coef_err_mean == float(coef.mean())
+            assert got.coef_err_std == float(coef.std(ddof=1))
+            assert got.lambda_min_ratio == float(lam.min())
+            cell += 1
+
+
+def test_scaling_report_identical_for_one_and_two_workers(monkeypatch):
+    reports = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("SHRED_THREADS", workers)
+        report = evaluation.theory_scaling_experiment(n_values=[100, 1000],
+                                                      noise_values=[0.1, 0.2],
+                                                      trials=20, seed=3)
+        reports.append(json.dumps(report.to_dict()))
+    assert reports[0] == reports[1]

@@ -1,6 +1,7 @@
 """Training loop, combined loss, selection, and checkpoint container."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -188,6 +189,50 @@ def test_train_rejects_invalid_config():
         shred.train(ds, _tiny_config(dropout=1.0))
 
 
+_INT_FIELDS = ["lag", "latent_dim", "epochs", "batch_size", "ministeps", "threshold_interval",
+               "ensemble_size", "poly_degree", "seed", "koopman_m_max", "gru_layers",
+               "warmup_epochs", "gru_hidden"]
+_FLOAT_FIELDS = ["learning_rate", "weight_decay", "dropout", "dt", "threshold_low",
+                 "threshold_high", "sindy_loss_weight", "grad_clip"]
+
+
+@pytest.mark.parametrize("name", _INT_FIELDS)
+@pytest.mark.parametrize("value", ["26", 26.0, True, [26]])
+def test_config_rejects_non_integer(name, value):
+    with pytest.raises(shred.ConfigError, match=name):
+        ShredConfig.from_dict({name: value})
+
+
+@pytest.mark.parametrize("name", _FLOAT_FIELDS)
+@pytest.mark.parametrize("value", ["0.1", False, [0.1]])
+def test_config_rejects_non_number(name, value):
+    with pytest.raises(shred.ConfigError, match=name):
+        ShredConfig.from_dict({name: value})
+
+
+@pytest.mark.parametrize("name, value", [
+    ("include_constant", 1), ("refit_on_prune", "yes"), ("mode", 1),
+    ("decoder_widths", [12.5]), ("decoder_widths", "12"), ("decoder_widths", 12),
+    ("trig", [["sin"]]), ("trig", [["sin", "1"]]), ("trig", [[1, 1.0]]), ("trig", 5),
+])
+def test_config_rejects_wrong_types(name, value):
+    with pytest.raises(shred.ConfigError, match=name):
+        ShredConfig.from_dict({name: value})
+
+
+def test_config_accepts_ints_for_floats_and_lists_for_tuples():
+    cfg = ShredConfig.from_dict({"dt": 1, "grad_clip": 5, "gru_hidden": None,
+                                 "decoder_widths": [12, 8], "trig": [["sin", 1]]})
+    assert cfg.decoder_widths == (12, 8)
+    assert cfg.trig == (("sin", 1.0),) and isinstance(cfg.trig[0][1], float)
+    assert ShredConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_config_from_dict_rejects_non_object():
+    with pytest.raises(shred.ConfigError, match="object"):
+        ShredConfig.from_dict([["lag", 8]])
+
+
 # ---------------------------------------------------------------------------
 # selection
 # ---------------------------------------------------------------------------
@@ -329,6 +374,45 @@ def test_checkpoint_every_strict_prefix_raises_checkpoint_error(tmp_path, mode):
         path.write_bytes(blob[:cut])
         with pytest.raises(shred.CheckpointError):
             shred.load_checkpoint(path)
+
+
+def _with_header(blob: bytes, edit) -> bytes:
+    """The checkpoint with its JSON header replaced by ``edit(header)``."""
+    (hlen,) = struct.unpack_from("<I", blob, 8)
+    header = edit(json.loads(blob[12:12 + hlen]))
+    new = json.dumps(header).encode()
+    return blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + hlen:]
+
+
+@pytest.mark.parametrize("mode", ["sindy", "koopman"])
+@pytest.mark.parametrize("key", ["config", "thresholds", "selected_index", "adam_step", "epoch"])
+def test_checkpoint_header_missing_key_raises(tmp_path, mode, key):
+    path = tmp_path / "m.shrd"
+    blob = _small_checkpoint(path, mode)
+    path.write_bytes(_with_header(blob, lambda h: {k: v for k, v in h.items() if k != key}))
+    with pytest.raises(shred.CheckpointError, match=key):
+        shred.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("config", "lag=8"), ("config", {"lag": "8"}), ("thresholds", 0.2),
+    ("thresholds", ["0.2", 2.0]), ("thresholds", [0.2]), ("selected_index", "0"),
+    ("selected_index", True), ("selected_index", 2), ("selected_index", -1),
+    ("adam_step", 1.5), ("adam_step", -1), ("epoch", "0"), ("epoch", None), ("extra", [1]),
+])
+def test_checkpoint_header_bad_value_raises(tmp_path, key, value):
+    path = tmp_path / "m.shrd"
+    blob = _small_checkpoint(path)
+    path.write_bytes(_with_header(blob, lambda h: {**h, key: value}))
+    with pytest.raises(shred.CheckpointError, match=key):
+        shred.load_checkpoint(path)
+
+
+def test_checkpoint_header_not_an_object_raises(tmp_path):
+    path = tmp_path / "m.shrd"
+    path.write_bytes(_with_header(_small_checkpoint(path), lambda h: list(h)))
+    with pytest.raises(shred.CheckpointError, match="object"):
+        shred.load_checkpoint(path)
 
 
 def test_checkpoint_truncated_fixed_header_names_offset(tmp_path):

@@ -148,6 +148,34 @@ def test_stlsq_random_systems_recovered_50_trials():
         assert np.array_equal(model.mask, xi_true != 0), f"trial {trial}"
 
 
+def _polished(Z, dZ, spec, mask):
+    """Ridge-free lstsq of each column on its final support, zero elsewhere."""
+    theta = sindy.evaluate_library(Z, spec)
+    Xi = np.zeros(mask.shape)
+    for j in range(mask.shape[1]):
+        Xi[mask[:, j], j] = np.linalg.lstsq(theta[:, mask[:, j]], dZ[:, j], rcond=None)[0]
+    return Xi
+
+
+@pytest.mark.parametrize("ridge", [0.0, 1e-3])
+@pytest.mark.parametrize("iters", [20, 1])
+def test_stlsq_result_is_polish_on_final_support(iters, ridge):
+    spec = LibrarySpec(dim=2, poly_degree=3)
+    rng = np.random.default_rng(6)
+    Z = rng.uniform(-1, 1, (300, 2))
+    dZ = np.stack([Z[:, 1], -Z[:, 0] - 0.5 * Z[:, 0] ** 3], axis=1)
+    dZ += 0.05 * rng.standard_normal(dZ.shape)
+    model = sindy.fit_stlsq(Z, dZ, spec, threshold=0.1, iters=iters, ridge=ridge)
+    assert 0 < model.nnz < model.mask.size
+    if iters > 1:
+        # Converged: the support survives a further pass unchanged.
+        again = sindy.fit_stlsq(Z, dZ, spec, threshold=0.1, iters=iters + 1, ridge=ridge)
+        assert np.array_equal(again.mask, model.mask)
+    # With iters=1 the one pass removed terms, so its solve was on a larger
+    # support and the polish has to be solved afresh.
+    assert np.array_equal(model.Xi, _polished(Z, dZ, spec, model.mask))
+
+
 def test_stlsq_conditioning_error_without_ridge():
     # States on the unit circle make the constant and z1^2+z2^2 columns collinear.
     spec = LibrarySpec(dim=2, poly_degree=2)
