@@ -4,4 +4,4 @@ __version__ = "0.1.0"
 
 from .data import Field, SensorSet, WindowedDataset  # noqa: F401
 from .shred import ShredConfig, ShredModel, train  # noqa: F401
-from .sindy import EnsembleSindy, LibrarySpec, SindyModel, fit_stlsq  # noqa: F401
+from .sindy import LibrarySpec, SindyModel, fit_stlsq  # noqa: F401

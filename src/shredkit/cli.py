@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -169,9 +170,9 @@ def _parse_windows(spec: str) -> list[tuple[int, int]]:
     return out
 
 
-def cmd_forecast(args) -> int:
-    model, _, _ = shred.load_checkpoint(args.checkpoint)
-    fld = data.load_field(args.field)
+def _checkpoint_field(model: shred.ShredModel, path) -> tuple[data.Field, list[int]]:
+    """The field at ``path`` in the checkpoint's scale, and the checkpoint's sensor indices."""
+    fld = data.load_field(path)
     extra = model.extra
     if extra.get("scale"):
         lo, hi = extra["scale"]
@@ -184,6 +185,12 @@ def cmd_forecast(args) -> int:
         raise UsageError("checkpoint carries no sensor indices")
     if min(sensors) < 0 or max(sensors) >= fld.n_space:
         raise UsageError(f"checkpoint sensors outside field size {fld.n_space}")
+    return fld, sensors
+
+
+def cmd_forecast(args) -> int:
+    model, _, _ = shred.load_checkpoint(args.checkpoint)
+    fld, sensors = _checkpoint_field(model, args.field)
     lag = model.config.lag
     start = args.start
     if start + lag > fld.n_frames:
@@ -239,16 +246,9 @@ def cmd_forecast(args) -> int:
 
 def cmd_landscape(args) -> int:
     model, _, _ = shred.load_checkpoint(args.checkpoint)
-    fld = data.load_field(args.field)
-    extra = model.extra
-    if extra.get("scale"):
-        lo, hi = extra["scale"]
-        fld = data.Field(data=(fld.data - lo) / (hi - lo), grid_shape=fld.grid_shape,
-                         scale=(lo, hi), dt_physical=fld.dt_physical)
-    elif fld.scale is None:
-        fld = data.standardize(fld)
-    sensors = data.SensorSet(indices=tuple(extra["sensors"]), seed=-1)
-    dataset = data.make_windows(fld, sensors, model.config.lag)
+    fld, sensors = _checkpoint_field(model, args.field)
+    dataset = data.make_windows(fld, data.SensorSet(indices=tuple(sensors), seed=-1),
+                                model.config.lag)
     loss_fn = evaluation.batch_loss_fn(model, dataset)
 
     seeds = tuple(int(s) for s in args.seeds.split(","))
@@ -331,9 +331,21 @@ def cmd_validate_theory(args) -> int:
     return EXIT_OK if ok else EXIT_ACCEPTANCE
 
 
+def _null_non_finite(obj):
+    """The JSON payload with NaN and infinite floats replaced by None (written as null)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _null_non_finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_null_non_finite(v) for v in obj]
+    return obj
+
+
 def _dump(path: Path, payload: dict) -> None:
+    """Write a report as strict JSON: a non-finite number becomes null."""
     with open(path, "w") as f:
-        json.dump(payload, f, indent=2)
+        json.dump(_null_non_finite(payload), f, indent=2, allow_nan=False)
         f.write("\n")
 
 

@@ -67,35 +67,29 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, op={self.op}, requires_grad={self.requires_grad})"
 
-    # Operator sugar; everything routes through apply_primitive.
+    # Operator sugar over the primitives below.
     def __add__(self, other):
-        return apply_primitive("add", (self, _as_tensor(other)))
+        return _add(self, _as_tensor(other))
 
     def __radd__(self, other):
-        return apply_primitive("add", (_as_tensor(other), self))
+        return _add(_as_tensor(other), self)
 
     def __sub__(self, other):
-        return apply_primitive("sub", (self, _as_tensor(other)))
+        return _sub(self, _as_tensor(other))
 
     def __rsub__(self, other):
-        return apply_primitive("sub", (_as_tensor(other), self))
+        return _sub(_as_tensor(other), self)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return scale(self, float(other))
-        return apply_primitive("hadamard", (self, _as_tensor(other)))
+        return _hadamard(self, _as_tensor(other))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -104,13 +98,13 @@ class Tensor:
         return scale(self, -1.0)
 
     def __matmul__(self, other):
-        return apply_primitive("matmul", (self, _as_tensor(other)))
+        return _matmul(self, _as_tensor(other))
 
     def sum(self):
-        return apply_primitive("sum", (self,))
+        return _sum(self)
 
     def mean(self):
-        return apply_primitive("mean", (self,))
+        return _mean(self)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -204,7 +198,7 @@ def _matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node("matmul", out, (a, b), backward)
 
 
-def _sigmoid(a: Tensor) -> Tensor:
+def sigmoid(a: Tensor) -> Tensor:
     out = 1.0 / (1.0 + np.exp(-a.data))
 
     def backward(g):
@@ -213,7 +207,7 @@ def _sigmoid(a: Tensor) -> Tensor:
     return _node("sigmoid", out, (a,), backward)
 
 
-def _tanh(a: Tensor) -> Tensor:
+def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
 
     def backward(g):
@@ -222,7 +216,7 @@ def _tanh(a: Tensor) -> Tensor:
     return _node("tanh", out, (a,), backward)
 
 
-def _relu(a: Tensor) -> Tensor:
+def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0.0)
 
     def backward(g):
@@ -231,7 +225,7 @@ def _relu(a: Tensor) -> Tensor:
     return _node("relu", out, (a,), backward)
 
 
-def _sin(a: Tensor) -> Tensor:
+def sin(a: Tensor) -> Tensor:
     out = np.sin(a.data)
 
     def backward(g):
@@ -240,7 +234,7 @@ def _sin(a: Tensor) -> Tensor:
     return _node("sin", out, (a,), backward)
 
 
-def _cos(a: Tensor) -> Tensor:
+def cos(a: Tensor) -> Tensor:
     out = np.cos(a.data)
 
     def backward(g):
@@ -268,7 +262,8 @@ def _mean(a: Tensor) -> Tensor:
     return _node("mean", out, (a,), backward)
 
 
-def _mse(a: Tensor, b: Tensor) -> Tensor:
+def mse(a: Tensor, b) -> Tensor:
+    b = _as_tensor(b)
     _require_same_shape("mse", a, b)
     diff = a.data - b.data
     out = np.asarray(np.mean(diff * diff))
@@ -280,33 +275,6 @@ def _mse(a: Tensor, b: Tensor) -> Tensor:
 
     return _node("mse", out, (a, b), backward)
 
-
-PRIMITIVES = {
-    "add": _add,
-    "sub": _sub,
-    "hadamard": _hadamard,
-    "matmul": _matmul,
-    "sigmoid": _sigmoid,
-    "tanh": _tanh,
-    "relu": _relu,
-    "sin": _sin,
-    "cos": _cos,
-    "sum": _sum,
-    "mean": _mean,
-    "mse": _mse,
-}
-
-
-def apply_primitive(kind: str, inputs: tuple) -> Tensor:
-    """Apply a named primitive, recording a graph node when gradients are needed."""
-    try:
-        fn = PRIMITIVES[kind]
-    except KeyError:
-        raise ShapeMismatchError(f"unknown primitive {kind!r}") from None
-    return fn(*inputs)
-
-
-# Parameterized primitives (carry static arguments, so not in the plain table).
 
 def scale(a: Tensor, c: float) -> Tensor:
     out = a.data * c
@@ -437,31 +405,6 @@ def gru_sequence(x, W_u: Tensor, U_u: Tensor, b_u: Tensor, W_r: Tensor, U_r: Ten
                 db[H:2 * H], dW[:, 2 * H:], dU_h, db[2 * H:])
 
     return _node("gru_sequence", out, (x, *params), backward)
-
-
-# Convenience wrappers matching the primitive table.
-def sigmoid(a: Tensor) -> Tensor:
-    return apply_primitive("sigmoid", (a,))
-
-
-def tanh(a: Tensor) -> Tensor:
-    return apply_primitive("tanh", (a,))
-
-
-def relu(a: Tensor) -> Tensor:
-    return apply_primitive("relu", (a,))
-
-
-def sin(a: Tensor) -> Tensor:
-    return apply_primitive("sin", (a,))
-
-
-def cos(a: Tensor) -> Tensor:
-    return apply_primitive("cos", (a,))
-
-
-def mse(a: Tensor, b) -> Tensor:
-    return apply_primitive("mse", (a, _as_tensor(b)))
 
 
 # ---------------------------------------------------------------------------

@@ -66,27 +66,7 @@ def forecast(model: ShredModel, init_window: np.ndarray, horizon: int) -> Foreca
     if init_window.ndim != 2 or init_window.shape[0] != model.config.lag:
         raise EvaluationError(
             f"init window must be (lag={model.config.lag}, sensors), got {init_window.shape}")
-    z0 = model.encode_np(init_window[None])[0]
-    d = z0.shape[0]
-    latents = np.empty((horizon + 1, d))
-    latents[0] = z0
-    if model.mode == "koopman":
-        K = model.K.data
-        z = z0
-        for t in range(horizon):
-            z = z @ K
-            if not np.all(np.isfinite(z)):
-                raise sindy.RolloutDivergenceError(t + 1)
-            latents[t + 1] = z
-    else:
-        member = model.selected_model()
-        z = z0
-        for t in range(horizon):
-            try:
-                z = sindy.sindy_cell(z, member)
-            except sindy.RolloutDivergenceError as exc:
-                raise sindy.RolloutDivergenceError(t + 1) from exc
-            latents[t + 1] = z
+    latents = model.rollout_np(model.encode_np(init_window[None])[0], horizon)
     predictions = model.decode_np(latents)
     return ForecastReport(predictions=predictions, latents=latents)
 
@@ -179,7 +159,7 @@ def _directions(params: dict[str, Tensor], seed: int) -> dict[str, np.ndarray]:
 
 def batch_loss_fn(model: ShredModel, dataset: WindowedDataset, batch_size: int = 128):
     """Deterministic eval-mode loss over a fixed leading batch of training pairs."""
-    horizon = model.config.koopman_m_max if model.mode == "koopman" else 1
+    horizon = model.config.horizon
     max_start = int(dataset.train_idx.max()) - horizon
     pool = dataset.train_idx[dataset.train_idx <= max_start]
     starts = pool[:batch_size]
@@ -193,6 +173,32 @@ def batch_loss_fn(model: ShredModel, dataset: WindowedDataset, batch_size: int =
     return loss_fn
 
 
+def _perturbed_losses(model: ShredModel, loss_fn, alpha: float, seeds: tuple[int, int],
+                      points: np.ndarray) -> np.ndarray:
+    """Loss at each (t_x, t_y) row of ``points`` in the alpha-scaled direction plane.
+
+    Non-finite losses are recorded as +inf. The model's parameters are
+    restored exactly afterwards.
+    """
+    params = model.named_parameters()
+    base = {name: p.data.copy() for name, p in params.items()}
+    rx = _directions(params, seeds[0])
+    ry = _directions(params, seeds[1])
+    values = np.empty(len(points))
+    try:
+        for i, (tx, ty) in enumerate(points):
+            for name, p in params.items():
+                # Perturbation summed first: IEEE commutativity then makes
+                # the grid exactly transpose under direction swap.
+                p.data = base[name] + ((tx * alpha) * rx[name] + (ty * alpha) * ry[name])
+            v = loss_fn()
+            values[i] = v if np.isfinite(v) else np.inf
+    finally:
+        for name, p in params.items():
+            p.data = base[name]
+    return values
+
+
 def landscape_scan(model: ShredModel, loss_fn, alpha: float, grid_n: int,
                    seeds: tuple[int, int] = (0, 1)) -> LandscapeGrid:
     """Loss over a 2-D grid of weight perturbations along two random directions.
@@ -204,28 +210,13 @@ def landscape_scan(model: ShredModel, loss_fn, alpha: float, grid_n: int,
         raise EvaluationError("grid size must be odd and >= 3")
     if alpha < 0:
         raise EvaluationError("alpha must be >= 0")
-    params = model.named_parameters()
-    base = {name: p.data.copy() for name, p in params.items()}
-    rx = _directions(params, seeds[0])
-    ry = _directions(params, seeds[1])
     ts = np.linspace(-1.0, 1.0, grid_n)
     base_loss = float(loss_fn())
-    values = np.empty((grid_n, grid_n))
-    try:
-        for i, tx in enumerate(ts):
-            for j, ty in enumerate(ts):
-                if tx == 0.0 and ty == 0.0:
-                    values[i, j] = base_loss
-                    continue
-                for name, p in params.items():
-                    # Perturbation summed first: IEEE commutativity then makes
-                    # the grid exactly transpose under direction swap.
-                    p.data = base[name] + ((tx * alpha) * rx[name] + (ty * alpha) * ry[name])
-                v = loss_fn()
-                values[i, j] = v if np.isfinite(v) else np.inf
-    finally:
-        for name, p in params.items():
-            p.data = base[name]
+    tx, ty = np.meshgrid(ts, ts, indexing="ij")
+    moved = (tx != 0.0) | (ty != 0.0)   # the center is the base loss, unperturbed
+    values = np.full((grid_n, grid_n), base_loss)
+    values[moved] = _perturbed_losses(model, loss_fn, alpha, seeds,
+                                      np.stack([tx[moved], ty[moved]], axis=1))
     return LandscapeGrid(alpha=alpha, seeds=tuple(seeds), ts=ts, values=values,
                          base_loss=base_loss)
 
@@ -240,28 +231,12 @@ def landscape_segments(model: ShredModel, loss_fn, alpha: float, seeds: tuple[in
     """
     if n_points < 3:
         raise EvaluationError("segments need at least 3 samples")
-    params = model.named_parameters()
-    base = {name: p.data.copy() for name, p in params.items()}
-    rx = _directions(params, seeds[0])
-    ry = _directions(params, seeds[1])
     rng = np.random.default_rng(seed)
     ends = rng.uniform(-1.0, 1.0, size=(n_segments, 2))
     fractions = np.linspace(0.0, 1.0, n_points)
-    values = np.empty((n_segments, n_points))
-    try:
-        for s in range(n_segments):
-            bx, by = ends[s]
-            for q, frac in enumerate(fractions):
-                tx = frac * bx
-                ty = frac * by
-                for name, p in params.items():
-                    p.data = base[name] + ((tx * alpha) * rx[name] + (ty * alpha) * ry[name])
-                v = loss_fn()
-                values[s, q] = v if np.isfinite(v) else np.inf
-    finally:
-        for name, p in params.items():
-            p.data = base[name]
-    return values
+    points = fractions[None, :, None] * ends[:, None, :]   # (segment, sample, [t_x, t_y])
+    return _perturbed_losses(model, loss_fn, alpha, seeds,
+                             points.reshape(-1, 2)).reshape(n_segments, n_points)
 
 
 def convexity_check(segments: np.ndarray, tolerance: float = 1e-7) -> tuple[bool, list[tuple]]:

@@ -27,7 +27,7 @@ from . import nets, sindy
 from .data import WindowedDataset
 from .diffcore import Tensor
 from .nets import DecoderParams, GruParams
-from .sindy import EnsembleSindy, LibrarySpec, SindyModel
+from .sindy import LibrarySpec, SindyModel
 
 CKPT_MAGIC = b"SHRD"
 CKPT_VERSION = 1
@@ -148,6 +148,11 @@ class ShredConfig:
                            trig=tuple((k, float(f)) for k, f in self.trig))
         return sindy.koopman_restrict(spec) if self.mode == "koopman" else spec
 
+    @property
+    def horizon(self) -> int:
+        """Frames after the first that a training sample spans: m_max for koopman, else 1."""
+        return self.koopman_m_max if self.mode == "koopman" else 1
+
     def hidden_sizes(self) -> list[int]:
         mid = self.gru_hidden if self.gru_hidden is not None else self.latent_dim
         return [mid] * (self.gru_layers - 1) + [self.latent_dim]
@@ -215,10 +220,6 @@ class ShredModel:
         return SindyModel(spec=self.spec, Xi=xi, mask=self.masks[i].copy(),
                           dt=self.config.dt, k=self.config.ministeps)
 
-    def ensemble(self) -> EnsembleSindy:
-        return EnsembleSindy(models=[self.member(i) for i in range(len(self.xi))],
-                             thresholds=list(self.thresholds))
-
     def koopman_generator(self) -> np.ndarray:
         """Continuous column-convention generator from the learned one-frame map."""
         if self.K is None:
@@ -241,6 +242,23 @@ class ShredModel:
         if self.selected_index is None:
             raise SelectionError("no ensemble member selected yet")
         return self.member(self.selected_index)
+
+    def rollout_np(self, z0: np.ndarray, steps: int) -> np.ndarray:
+        """Latent trajectory (steps + 1, d) from z0 under the learned dynamics.
+
+        Koopman mode applies ``z @ K`` per frame; sindy mode rolls out the
+        selected member. A non-finite state raises RolloutDivergenceError with
+        the frame index it first appears at.
+        """
+        if self.mode != "koopman":
+            return sindy.rollout(self.selected_model(), z0, steps)
+        out = np.empty((steps + 1, z0.shape[-1]))
+        out[0] = z0
+        for t in range(steps):
+            out[t + 1] = out[t] @ self.K.data
+            if not np.all(np.isfinite(out[t + 1])):
+                raise sindy.RolloutDivergenceError(t + 1)
+        return out
 
     def encode(self, windows: np.ndarray) -> Tensor:
         return nets.encode_window(windows, self.gru)
@@ -279,6 +297,14 @@ def init_model(config: ShredConfig, n_sensors: int, n_space: int) -> ShredModel:
     return model
 
 
+def _latents(model: ShredModel, dataset: WindowedDataset,
+             idx: np.ndarray) -> np.ndarray | None:
+    """Evaluation-mode latents of the windows at ``idx``; None for fewer than three."""
+    if idx.size < 3:
+        return None
+    return model.encode_np(dataset.inputs[idx])
+
+
 def _initial_xi_estimate(model: ShredModel, dataset: WindowedDataset,
                          max_windows: int = 2048) -> None:
     """Seed every member's coefficients with a ridge fit to the initial latents.
@@ -287,11 +313,9 @@ def _initial_xi_estimate(model: ShredModel, dataset: WindowedDataset,
     scaled to the feature gram and is discarded entirely if the implied
     one-frame Euler step would be unstable.
     """
-    idx = np.unique(dataset.train_idx)
-    if idx.size < 3:
+    latents = _latents(model, dataset, np.unique(dataset.train_idx)[:max_windows])
+    if latents is None:
         return
-    idx = idx[:max_windows]
-    latents = model.encode_np(dataset.inputs[idx])
     dZ = sindy.finite_differences(latents, model.config.dt)
     theta = sindy.evaluate_library(latents, model.spec)
     ridge = max(1e-3 * float(np.mean(np.sum(theta * theta, axis=0))), 1e-9)
@@ -369,20 +393,22 @@ def _prune_members(model: ShredModel) -> list[int]:
     return nnz
 
 
-def _refit_members(model: ShredModel, dataset: WindowedDataset,
-                   max_windows: int = 4096) -> None:
-    """Snap each member's active coefficients to the one-frame least-squares optimum.
+def _refit(model: ShredModel, dataset: WindowedDataset, max_windows: int = 4096) -> None:
+    """Snap the dynamics to the one-frame least-squares optimum on the current latents.
 
-    Targets are forward differences of the current latent trajectory, i.e. the
-    exact optimum of the one-mini-step rollout loss; for k > 1 this is a
-    second-order-accurate approximation that the gradient phase keeps
-    polishing. Masks are untouched.
+    Koopman mode fits the linear map from each latent to the next. Sindy mode
+    fits each member's active coefficients to forward differences of the
+    latent trajectory, i.e. the exact optimum of the one-mini-step rollout
+    loss; for k > 1 this is a second-order-accurate approximation that the
+    gradient phase keeps polishing. Masks are untouched.
     """
-    idx = np.unique(dataset.train_idx)
-    if idx.size < 3:
+    latents = _latents(model, dataset, np.unique(dataset.train_idx)[:max_windows])
+    if latents is None:
         return
-    idx = idx[:max_windows]
-    latents = model.encode_np(dataset.inputs[idx])
+    if model.mode == "koopman":
+        K, *_ = np.linalg.lstsq(latents[:-1], latents[1:], rcond=None)
+        model.K.data = K
+        return
     theta = sindy.evaluate_library(latents[:-1], model.spec)
     targets = (latents[1:] - latents[:-1]) / model.config.dt
     for xi, mask in zip(model.xi, model.masks):
@@ -393,17 +419,6 @@ def _refit_members(model: ShredModel, dataset: WindowedDataset,
                 sol, *_ = np.linalg.lstsq(theta[:, active], targets[:, j], rcond=None)
                 new[active, j] = sol
         xi.data = new
-
-
-def _refit_koopman(model: ShredModel, dataset: WindowedDataset,
-                   max_windows: int = 4096) -> None:
-    """Snap the linear map to the one-step least-squares optimum on current latents."""
-    idx = np.unique(dataset.train_idx)
-    if idx.size < 3:
-        return
-    latents = model.encode_np(dataset.inputs[idx[:max_windows]])
-    K, *_ = np.linalg.lstsq(latents[:-1], latents[1:], rcond=None)
-    model.K.data = K
 
 
 def train(dataset: WindowedDataset, config: ShredConfig,
@@ -428,16 +443,13 @@ def train(dataset: WindowedDataset, config: ShredConfig,
         config = model.config
     else:
         model = init_model(config, n_sensors, n_space)
-        if config.mode == "sindy" and config.warmup_epochs == 0:
-            _initial_xi_estimate(model, dataset)
         optimizer = dc.AdamW(model.named_parameters(), lr=config.learning_rate,
                              weight_decay=config.weight_decay,
                              grad_clip=config.grad_clip,
                              no_decay=model.dynamics_param_names())
         start_epoch = 0
 
-    horizon = config.koopman_m_max if config.mode == "koopman" else 1
-    max_start = int(dataset.train_idx.max()) - horizon if dataset.train_idx.size else -1
+    max_start = int(dataset.train_idx.max()) - config.horizon if dataset.train_idx.size else -1
     starts_pool = dataset.train_idx[dataset.train_idx <= max_start]
     if config.epochs > 0 and starts_pool.size == 0:
         raise ConfigError("training split has no adjacent window pairs")
@@ -447,7 +459,7 @@ def train(dataset: WindowedDataset, config: ShredConfig,
     for epoch in range(start_epoch + 1, config.epochs + 1):
         t0 = time.perf_counter()
         in_warmup = epoch <= config.warmup_epochs
-        if config.mode == "sindy" and config.warmup_epochs and epoch == config.warmup_epochs + 1:
+        if config.mode == "sindy" and epoch == config.warmup_epochs + 1:
             _initial_xi_estimate(model, dataset)
         use_dynamics = (dynamics_enabled and not in_warmup
                         and config.sindy_loss_weight > 0)
@@ -457,7 +469,7 @@ def train(dataset: WindowedDataset, config: ShredConfig,
         n_batches = 0
         for bi, s in enumerate(range(0, order.size, config.batch_size)):
             starts = order[s:s + config.batch_size]
-            batch = make_batch(dataset, starts, horizon)
+            batch = make_batch(dataset, starts, config.horizon)
             drop_rng = rng_for(config.seed, 2, epoch, bi)
             loss, parts = combined_loss(batch, model, train_mode=True, rng=drop_rng,
                                         dynamics_enabled=use_dynamics)
@@ -483,28 +495,26 @@ def train(dataset: WindowedDataset, config: ShredConfig,
                   "recon": sums["recon"] / n_batches,
                   "dynamics": sums["dynamics"] / n_batches}
         joint_epoch = epoch - config.warmup_epochs
-        if (config.mode == "sindy" and joint_epoch > 0
-                and joint_epoch % config.threshold_interval == 0):
-            record["nnz"] = _prune_members(model)
-            record["pruned"] = True
-            if dynamics_enabled and all(n == 0 for n in record["nnz"]):
-                warnings.warn("every ensemble member pruned to the null model; "
-                              "continuing with reconstruction loss only", stacklevel=2)
-                dynamics_enabled = False
-            if config.refit_on_prune and dynamics_enabled:
-                _refit_members(model, dataset)
-        elif config.mode == "sindy":
-            record["nnz"] = [int(m.sum()) for m in model.masks]
+        if config.mode == "sindy":
+            if joint_epoch > 0 and joint_epoch % config.threshold_interval == 0:
+                record["nnz"] = _prune_members(model)
+                record["pruned"] = True
+                if dynamics_enabled and all(n == 0 for n in record["nnz"]):
+                    warnings.warn("every ensemble member pruned to the null model; "
+                                  "continuing with reconstruction loss only", stacklevel=2)
+                    dynamics_enabled = False
+                if config.refit_on_prune and dynamics_enabled:
+                    _refit(model, dataset)
+            else:
+                record["nnz"] = [int(m.sum()) for m in model.masks]
         record["wall_time"] = time.perf_counter() - t0
         log.append(record)
 
-    if config.refit_on_prune and config.epochs > start_epoch:
-        if config.mode == "sindy" and dynamics_enabled and model.xi:
-            _refit_members(model, dataset)
-        elif config.mode == "koopman":
-            _refit_koopman(model, dataset)
+    # dynamics_enabled only drops in sindy mode, once every member is null.
+    if config.refit_on_prune and config.epochs > start_epoch and dynamics_enabled:
+        _refit(model, dataset)
 
-    if config.mode == "sindy" and config.epochs > 0 and model.xi:
+    if config.epochs > 0 and model.xi:
         latents = _selection_latents(model, dataset)
         if latents is not None:
             try:
@@ -517,9 +527,7 @@ def train(dataset: WindowedDataset, config: ShredConfig,
 
 def _selection_latents(model: ShredModel, dataset: WindowedDataset) -> np.ndarray | None:
     idx = dataset.val_idx if dataset.val_idx.size >= 3 else np.unique(dataset.train_idx)
-    if idx.size < 3:
-        return None
-    return model.encode_np(dataset.inputs[idx])
+    return _latents(model, dataset, idx)
 
 
 def select_discovered_model(model: ShredModel,

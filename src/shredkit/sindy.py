@@ -203,20 +203,6 @@ class SindyModel:
         return SindyModel.from_dict(json.loads(text))
 
 
-@dataclass
-class EnsembleSindy:
-    """B models sharing one library, thresholded at an ascending ladder."""
-
-    models: list[SindyModel]
-    thresholds: list[float]
-
-    def __post_init__(self):
-        if not self.models or len(self.models) != len(self.thresholds):
-            raise DimensionMismatchError("need one threshold per ensemble member")
-        if any(t2 < t1 for t1, t2 in zip(self.thresholds, self.thresholds[1:])):
-            raise DimensionMismatchError("thresholds must be ascending")
-
-
 def threshold_ladder(low: float, high: float, count: int) -> list[float]:
     if count == 1:
         return [low]
@@ -314,13 +300,20 @@ def sindy_cell(z: np.ndarray, model: SindyModel) -> np.ndarray:
 
 
 def rollout(model: SindyModel, z0: np.ndarray, steps: int) -> np.ndarray:
-    """Trajectory of shape (steps + 1, d) from z0 under repeated sindy_cell."""
+    """Trajectory of shape (steps + 1, d) from z0 under repeated sindy_cell.
+
+    A non-finite state raises RolloutDivergenceError carrying the frame index
+    t >= 1 it first appears at, chained from the cell's sub-step error.
+    """
     z0 = np.asarray(z0, dtype=np.float64)
     out = np.empty((steps + 1, z0.shape[-1]))
     out[0] = z0
     z = z0
     for t in range(steps):
-        z = sindy_cell(z, model)
+        try:
+            z = sindy_cell(z, model)
+        except RolloutDivergenceError as exc:
+            raise RolloutDivergenceError(t + 1) from exc
         out[t + 1] = z
     return out
 

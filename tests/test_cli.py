@@ -323,6 +323,55 @@ def test_landscape_invalid_grid_exit_2(modal_dir, trained_dir, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["landscape", "forecast"])
+@pytest.mark.parametrize("sensors", [None, [], [0, 36], [-1, 3]])
+def test_checkpoint_without_usable_sensors_exit_2(modal_dir, trained_dir, tmp_path, capsys,
+                                                  command, sensors):
+    blob = (trained_dir / "model.shrd").read_bytes()
+    hlen = int.from_bytes(blob[8:12], "little")
+    header = json.loads(blob[12:12 + hlen])
+    if sensors is None:
+        del header["extra"]["sensors"]
+    else:
+        header["extra"]["sensors"] = sensors
+    new = json.dumps(header).encode()
+    ckpt = tmp_path / "sensors.shrd"
+    ckpt.write_bytes(blob[:8] + len(new).to_bytes(4, "little") + new + blob[12 + hlen:])
+    extra = ["--horizon", "5"] if command == "forecast" else ["--grid", "3", "--segments", "3"]
+    code = main([command, "--checkpoint", str(ckpt), "--field", str(modal_dir / "field.fld"),
+                 "--out", str(tmp_path), *extra])
+    assert code == 2
+    assert "sensor" in capsys.readouterr().err
+
+
+def _strict_json(text: str):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_dump_writes_non_finite_floats_as_null(tmp_path):
+    path = tmp_path / "report.json"
+    cli._dump(path, {"nan": float("nan"), "list": [1.5, float("inf"), -float("inf")],
+                     "nested": {"x": np.float64("nan"), "ci": (0.25, float("nan"))},
+                     "ok": True, "n": 3})
+    assert _strict_json(path.read_text()) == {
+        "nan": None, "list": [1.5, None, None], "nested": {"x": None, "ci": [0.25, None]},
+        "ok": True, "n": 3}
+
+
+def test_validate_theory_thm1_diverged_cell_is_strict_json(tmp_path):
+    # At seed 111 one n = 100 fit's cubic model blows up before the horizon.
+    code = main(["validate-theory", "--suite", "thm1", "--seed", "111", "--out", str(tmp_path)])
+    assert code == 0
+    text = (tmp_path / "thm1.json").read_text()
+    assert '"rollout_err_mean": null' in text
+    payload = _strict_json(text)
+    diverged = [c for c in payload["cells"] if c["rollout_err_mean"] is None]
+    assert [(c["n"], c["noise"]) for c in diverged] == [(100, 0.2)]
+    assert payload["slope_ok"] and payload["noise_linearity_ok"]
+
+
 def test_validate_theory_unknown_suite_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["validate-theory", "--suite", "thm9", "--out", str(tmp_path)])

@@ -9,8 +9,7 @@ from shredkit.diffcore import Tensor
 
 
 def test_matmul_example():
-    out = dc.apply_primitive("matmul", (Tensor([[1.0, 2.0], [3.0, 4.0]]),
-                                        Tensor([[1.0], [1.0]])))
+    out = Tensor([[1.0, 2.0], [3.0, 4.0]]) @ Tensor([[1.0], [1.0]])
     assert np.array_equal(out.data, [[3.0], [7.0]])
 
 
@@ -216,12 +215,12 @@ def test_stacked_matmul_gradient():
     assert dc.finite_diff_check(lambda: dc.mse(a @ b, t), [a, b], h=1e-6) < 1e-6
 
 
-def test_apply_primitive_is_pure():
+def test_matmul_is_pure():
     rng = np.random.default_rng(7)
     a = Tensor(rng.standard_normal((3, 3)))
     b = Tensor(rng.standard_normal((3, 3)))
-    first = dc.apply_primitive("matmul", (a, b)).data
-    second = dc.apply_primitive("matmul", (a, b)).data
+    first = (a @ b).data
+    second = (a @ b).data
     assert np.array_equal(first, second)
 
 

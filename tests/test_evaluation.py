@@ -76,8 +76,35 @@ def test_forecast_reports_divergence_step():
     model.config.ministeps = 200
     model.config.dt = 50.0
     init = fld.data[:8][:, sensors.indices]
-    with pytest.raises(sindy.RolloutDivergenceError):
+    member = model.selected_model()
+    z, frame = model.encode_np(init[None])[0], None
+    for t in range(1, 2001):
+        try:
+            z = sindy.sindy_cell(z, member)
+        except sindy.RolloutDivergenceError:
+            frame = t
+            break
+    assert frame is not None
+    with pytest.raises(sindy.RolloutDivergenceError) as info:
         forecast(model, init, horizon=2000)
+    assert info.value.substep == frame
+
+
+def test_forecast_koopman_reports_first_non_finite_frame():
+    model, ds, fld, sensors = _trained_tiny_model(mode="koopman")
+    model.K.data = 1e120 * np.eye(2)
+    init = fld.data[:8][:, sensors.indices]
+    z, frame = model.encode_np(init[None])[0], None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, 50):
+            z = z @ model.K.data
+            if not np.all(np.isfinite(z)):
+                frame = t
+                break
+        assert frame is not None and frame > 1
+        with pytest.raises(sindy.RolloutDivergenceError) as info:
+            forecast(model, init, horizon=50)
+    assert info.value.substep == frame
 
 
 def test_forecast_linear_member_matches_matrix_exponential():

@@ -113,6 +113,43 @@ def test_train_zero_epochs_returns_initialized_model():
                                     list(cfg.decoder_widths), ds.targets.shape[1])
     for a, b in zip(model.gru.tensors().values(), fresh_gru.tensors().values()):
         assert np.array_equal(a.data, b.data)
+    assert all(np.all(xi.data == 0.0) for xi in model.xi)  # no joint epoch, no estimate
+
+
+@pytest.mark.parametrize("warmup", [0, 2])
+def test_train_applies_initial_estimate_once_at_first_joint_epoch(monkeypatch, warmup):
+    events = []
+    estimate, loss, rng_for = shred._initial_xi_estimate, shred.combined_loss, shred.rng_for
+
+    def record_estimate(model, dataset):
+        events.append("estimate")
+        estimate(model, dataset)
+
+    def record_loss(batch, model, **kw):
+        events.append("joint" if kw["dynamics_enabled"] else "warmup")
+        return loss(batch, model, **kw)
+
+    def record_epoch(seed, *key):
+        if key[0] == 1:  # the per-epoch shuffle stream
+            events.append(f"epoch {key[1]}")
+        return rng_for(seed, *key)
+
+    monkeypatch.setattr(shred, "_initial_xi_estimate", record_estimate)
+    monkeypatch.setattr(shred, "combined_loss", record_loss)
+    monkeypatch.setattr(shred, "rng_for", record_epoch)
+    cfg = _tiny_config(epochs=4, warmup_epochs=warmup, threshold_interval=10)
+    shred.train(_tiny_dataset(), cfg)
+    assert events.count("estimate") == 1
+    at = events.index("estimate")
+    assert events[at + 1] == f"epoch {warmup + 1}"
+    assert set(events[:at]) <= {"warmup"} | {f"epoch {e}" for e in range(1, warmup + 1)}
+    assert ("warmup" in events) == bool(warmup)
+    assert "warmup" not in events[at:]
+
+
+def test_config_horizon_is_m_max_in_koopman_mode_only():
+    assert _tiny_config(koopman_m_max=3).horizon == 1
+    assert _tiny_config(mode="koopman", koopman_m_max=3).horizon == 3
 
 
 def test_train_smoke_loss_drops():

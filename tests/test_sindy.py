@@ -243,6 +243,25 @@ def test_sindy_cell_divergence_reports_substep():
         sindy.sindy_cell(np.array([50.0]), model)
 
 
+def test_rollout_divergence_reports_frame_chained_from_substep():
+    spec = LibrarySpec(dim=1, poly_degree=3, include_constant=False)
+    Xi = np.array([[0.0], [0.0], [1.0]])  # zdot = z^3 blows up
+    model = SindyModel(spec=spec, Xi=Xi, mask=Xi != 0, dt=0.1, k=5)
+    z, frame = np.array([2.0]), None
+    for t in range(1, 100):
+        try:
+            z = sindy.sindy_cell(z, model)
+        except sindy.RolloutDivergenceError as exc:
+            frame, substep = t, exc.substep
+            break
+    assert frame is not None and frame > 1
+    with pytest.raises(sindy.RolloutDivergenceError) as info:
+        sindy.rollout(model, np.array([2.0]), 99)
+    assert info.value.substep == frame
+    assert isinstance(info.value.__cause__, sindy.RolloutDivergenceError)
+    assert info.value.__cause__.substep == substep
+
+
 # ---------------------------------------------------------------------------
 # Ensemble loss
 # ---------------------------------------------------------------------------
