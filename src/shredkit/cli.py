@@ -414,12 +414,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except shred.NumericalAbortError as exc:
+    except (shred.NumericalAbortError, sindy.RolloutDivergenceError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (UsageError, shred.ConfigError, shred.CheckpointError, data.FieldFormatError,
-            data.SensorSelectionError, data.DegenerateScaleError, evaluation.EvaluationError,
-            FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (UsageError, shred.ConfigError, shred.CheckpointError, shred.SelectionError,
+            data.FieldFormatError, data.SensorSelectionError, data.DegenerateScaleError,
+            evaluation.EvaluationError, FileNotFoundError, json.JSONDecodeError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -342,16 +342,31 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _node("reshape", out, (a,), backward)
 
 
+def _copy_rows(dst: np.ndarray, src: np.ndarray) -> None:
+    """``dst[...] = src`` for float64 arrays whose last axis is contiguous.
+
+    Each last-axis row moves as one opaque item, so a copy that permutes the
+    leading axes loops over rows instead of over a few elements at a time.
+    """
+    row = np.dtype((np.void, 8 * src.shape[-1]))
+    np.copyto(dst.view(row)[..., 0], src.view(row)[..., 0])
+
+
 def gru_sequence(x, W_u: Tensor, U_u: Tensor, b_u: Tensor, W_r: Tensor, U_r: Tensor,
                  b_r: Tensor, W_h: Tensor, U_h: Tensor, b_h: Tensor) -> Tensor:
     """One GRU layer over a whole sequence: inputs (B, L, S) to hiddens (B, L, H).
 
     Records a single tape node. The input projection of every step is one
-    ``(B·L, S) @ (S, 3H)`` matmul against the stacked gates ``[W_u|W_r|W_h]``;
+    ``(L·B, S) @ (S, 3H)`` matmul against the stacked gates ``[W_u|W_r|W_h]``;
     the recurrence then runs in plain numpy from a zero initial hidden,
     caching u, r and the candidate for the hand-derived BPTT backward. Gates
     follow Cho et al. (2014): ``h = (1-u)*h_prev + u*cand``, with the reset
     gate applied to ``h_prev`` before ``U_h``.
+
+    Storage is time-major and gate-major, so that every per-step operand is
+    one contiguous block: projections, gates and pre-activation gradients are
+    (L, 3, B, H) with the gates in the order [u, r, cand], and the hidden
+    sequence is (L, B, H). The node's data is the (B, L, H) view of it.
     """
     x = _as_tensor(x)
     params = (W_u, U_u, b_u, W_r, U_r, b_r, W_h, U_h, b_h)
@@ -362,49 +377,70 @@ def gru_sequence(x, W_u: Tensor, U_u: Tensor, b_u: Tensor, W_r: Tensor, U_r: Ten
     B, L, _ = x.shape
     W = np.concatenate([W_u.data, W_r.data, W_h.data], axis=1)
     b = np.concatenate([b_u.data, b_r.data, b_h.data])
-    U_ur = np.concatenate([U_u.data, U_r.data], axis=1)
-    xw = (x.data.reshape(B * L, S) @ W + b).reshape(B, L, 3 * H)
-    gates = np.empty((B, L, 3 * H))  # [u | r | cand] per step
-    out = np.empty((B, L, H))
-    h = np.zeros((B, H))
+    U_ur = np.stack([U_u.data, U_r.data])
+    xt = np.ascontiguousarray(x.data.transpose(1, 0, 2)).reshape(L * B, S)
+    xw = xt @ W
+    xw += b
+    # Input projections x W + b, which each step turns into its gates in place.
+    gates = np.empty((L, 3, B, H))
+    _copy_rows(gates, xw.reshape(L, B, 3, H).transpose(0, 2, 1, 3))
+    del xw  # released before the buffers below: a lower peak touches fewer fresh pages
+    hs = np.empty((L + 1, B, H))  # hs[0] is the zero initial hidden, hs[t + 1] = h_t
+    hs[0] = 0.0
+    carry = np.empty((L, B, H))  # 1 - u
+    hu, rh, uc = np.empty((2, B, H)), np.empty((B, H)), np.empty((B, H))
     for t in range(L):
-        a = xw[:, t, :2 * H] + h @ U_ur
-        np.exp(np.negative(a, out=a), out=a)
-        a += 1.0
-        ur = np.divide(1.0, a, out=gates[:, t, :2 * H])
-        u, r = ur[:, :H], ur[:, H:]
-        cand = np.tanh(xw[:, t, 2 * H:] + (r * h) @ U_h.data, out=gates[:, t, 2 * H:])
-        h = np.add((1.0 - u) * h, u * cand, out=out[:, t])
+        h, ur, cand = hs[t], gates[t, :2], gates[t, 2]
+        ur += np.matmul(h, U_ur, out=hu)
+        np.exp(np.negative(ur, out=ur), out=ur)
+        ur += 1.0
+        u, r = np.divide(1.0, ur, out=ur)
+        cand += np.matmul(np.multiply(r, h, out=rh), U_h.data, out=uc)
+        np.tanh(cand, out=cand)
+        h_new = np.multiply(np.subtract(1.0, u, out=carry[t]), h, out=hs[t + 1])
+        h_new += np.multiply(u, cand, out=uc)
 
     def backward(g):
-        h_prev = np.concatenate([np.zeros((B, 1, H)), out[:, :-1]], axis=1)
-        u, r, cand = gates[..., :H], gates[..., H:2 * H], gates[..., 2 * H:]
-        # Factors turning dL/dh_t into each gate's pre-activation gradient.
-        k_u = (cand - h_prev) * u * (1.0 - u)
-        k_r = h_prev * r * (1.0 - r)
-        k_c = u * (1.0 - cand * cand)
-        carry = 1.0 - u
-        U_hT, U_urT = U_h.data.T, U_ur.T
-        d_a = np.empty((B, L, 3 * H))  # gradients of the gate pre-activations
+        gt = np.ascontiguousarray(g.transpose(1, 0, 2))
+        h_prev, u, r, cand = hs[:-1], gates[:, 0], gates[:, 1], gates[:, 2]
+        d_a = np.empty((L, 3, B, H))  # gradients of the gate pre-activations
+        # Factors turning dL/dh_t into each gate's pre-activation gradient,
+        # built in place (d_a[:, 1] holds 1 - r until the loop overwrites it).
+        k = np.empty((L, 3, B, H))
+        k_u, k_r, k_c = k[:, 0], k[:, 1], k[:, 2]
+        np.multiply(np.subtract(cand, h_prev, out=k_u), u, out=k_u)
+        k_u *= carry
+        np.multiply(h_prev, r, out=k_r)
+        k_r *= np.subtract(1.0, r, out=d_a[:, 1])
+        np.subtract(1.0, np.multiply(cand, cand, out=k_c), out=k_c)
+        k_c *= u
+        U_hT, U_urT = U_h.data.T, U_ur.transpose(0, 2, 1)
         dh = np.zeros((B, H))
+        d_rh, tmp, d_ur = np.empty((B, H)), np.empty((B, H)), np.empty((2, B, H))
         for t in reversed(range(L)):
-            dh += g[:, t]
-            da = d_a[:, t]
-            np.multiply(dh, k_u[:, t], out=da[:, :H])
-            d_c = np.multiply(dh, k_c[:, t], out=da[:, 2 * H:])
-            d_rh = d_c @ U_hT
-            np.multiply(d_rh, k_r[:, t], out=da[:, H:2 * H])
-            dh = dh * carry[:, t] + d_rh * r[:, t] + da[:, :2 * H] @ U_urT
-        d_flat = d_a.reshape(B * L, 3 * H)
-        dW = x.data.reshape(B * L, S).T @ d_flat
-        dU_ur = h_prev.reshape(B * L, H).T @ d_flat[:, :2 * H]
-        dU_h = (r * h_prev).reshape(B * L, H).T @ d_flat[:, 2 * H:]
-        db = d_flat.sum(axis=0)
-        dx = (d_flat @ W.T).reshape(B, L, S) if x.requires_grad else None
+            dh += gt[t]
+            da, kt = d_a[t], k[t]
+            np.multiply(dh, kt[0], out=da[0])
+            np.matmul(np.multiply(dh, kt[2], out=da[2]), U_hT, out=d_rh)
+            np.multiply(d_rh, kt[1], out=da[1])
+            np.matmul(da[:2], U_urT, out=d_ur)
+            dh *= carry[t]
+            dh += np.multiply(d_rh, r[t], out=tmp)
+            dh += d_ur[0]
+            dh += d_ur[1]
+        # k is spent: its buffer takes d_a rearranged to (L·B, 3H) for the weight gradients.
+        d_flat = k.reshape(L, B, 3, H)
+        _copy_rows(d_flat, d_a.transpose(0, 2, 1, 3))
+        d_flat = d_flat.reshape(L * B, 3 * H)
+        dW = xt.T @ d_flat
+        dU_ur = h_prev.reshape(L * B, H).T @ d_flat[:, :2 * H]
+        dU_h = (r * h_prev).reshape(L * B, H).T @ d_flat[:, 2 * H:]
+        db = d_a.sum(axis=0).sum(axis=1).reshape(3 * H)
+        dx = (d_flat @ W.T).reshape(L, B, S).transpose(1, 0, 2) if x.requires_grad else None
         return (dx, dW[:, :H], dU_ur[:, :H], db[:H], dW[:, H:2 * H], dU_ur[:, H:],
                 db[H:2 * H], dW[:, 2 * H:], dU_h, db[2 * H:])
 
-    return _node("gru_sequence", out, (x, *params), backward)
+    return _node("gru_sequence", hs[1:].transpose(1, 0, 2), (x, *params), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,9 @@
 Gate convention: h_t = (1-u) * h_prev + u * h_cand, with the update gate u
 multiplying the candidate, the reset gate applied to the hidden state before
 the candidate's recurrent matmul. The encoder runs each layer as one fused
-``diffcore.gru_sequence`` tape node over the whole lag window; ``gru_cell``
-is the per-step transcription of the same equations, kept as the reference
-the fused layer is tested against. Dropout is decoder-only (inverted, so
-eval mode needs no rescaling) and can be disabled per config.
+``diffcore.gru_sequence`` tape node over the whole lag window. Dropout is
+decoder-only (inverted, so eval mode needs no rescaling) and can be disabled
+per config.
 """
 
 from __future__ import annotations
@@ -79,30 +78,12 @@ class DecoderParams:
         return out
 
 
-def gru_cell(x: Tensor, h_prev: Tensor, layer: GruLayerParams) -> Tensor:
-    """One gated step: x is (batch, in), h_prev is (batch, hidden).
-
-    The per-step reference for ``diffcore.gru_sequence``; the encoder itself
-    runs the fused layer.
-    """
-    if x.shape[-1] != layer.W_u.shape[0]:
-        raise WidthMismatchError(f"gru_cell: input width {x.shape[-1]} != {layer.W_u.shape[0]}")
-    if h_prev.shape[-1] != layer.U_u.shape[0]:
-        raise WidthMismatchError(f"gru_cell: hidden width {h_prev.shape[-1]} != {layer.U_u.shape[0]}")
-    u = dc.sigmoid(x @ layer.W_u + h_prev @ layer.U_u + layer.b_u)
-    r = dc.sigmoid(x @ layer.W_r + h_prev @ layer.U_r + layer.b_r)
-    cand = dc.tanh(x @ layer.W_h + (r * h_prev) @ layer.U_h + layer.b_h)
-    one_minus_u = 1.0 - u
-    return one_minus_u * h_prev + u * cand
-
-
 def encode_window(window: np.ndarray, params: GruParams) -> Tensor:
     """Map a batch of lag-windows (batch, L, S) to latents (batch, d).
 
     Each layer is one fused ``diffcore.gru_sequence`` node whose hidden
     sequence feeds the next layer; the returned latent is the final time-step
-    hidden state of the top layer. Initial hiddens are zero. ``gru_cell`` is
-    the per-step reference the fused layer is tested against.
+    hidden state of the top layer. Initial hiddens are zero.
     """
     window = np.asarray(window, dtype=np.float64)
     if window.ndim == 2:

@@ -257,7 +257,7 @@ class ShredModel:
         for t in range(steps):
             out[t + 1] = out[t] @ self.K.data
             if not np.all(np.isfinite(out[t + 1])):
-                raise sindy.RolloutDivergenceError(t + 1)
+                raise sindy.RolloutDivergenceError(t + 1, "frame")
         return out
 
     def encode(self, windows: np.ndarray) -> Tensor:

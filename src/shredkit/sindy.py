@@ -33,8 +33,10 @@ class ConditioningError(RuntimeError):
 
 
 class RolloutDivergenceError(RuntimeError):
-    def __init__(self, substep: int):
-        super().__init__(f"non-finite state at Euler sub-step {substep}")
+    """A state went non-finite; ``substep`` is the index, in ``unit``s, where it first did."""
+
+    def __init__(self, substep: int, unit: str):
+        super().__init__(f"non-finite state at {unit} {substep}")
         self.substep = substep
 
 
@@ -295,7 +297,7 @@ def sindy_cell(z: np.ndarray, model: SindyModel) -> np.ndarray:
         for i in range(model.k):
             state = state + h * (evaluate_library(state, model.spec) @ Xi)
             if not np.all(np.isfinite(state)):
-                raise RolloutDivergenceError(i)
+                raise RolloutDivergenceError(i, "Euler sub-step")
     return state[0] if single else state
 
 
@@ -313,7 +315,7 @@ def rollout(model: SindyModel, z0: np.ndarray, steps: int) -> np.ndarray:
         try:
             z = sindy_cell(z, model)
         except RolloutDivergenceError as exc:
-            raise RolloutDivergenceError(t + 1) from exc
+            raise RolloutDivergenceError(t + 1, "frame") from exc
         out[t + 1] = z
     return out
 

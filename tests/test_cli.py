@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import shredkit
-from shredkit import cli, data, evaluation
+from shredkit import cli, data, evaluation, shred, sindy
 from shredkit.cli import main
 
 
@@ -287,6 +287,62 @@ def test_forecast_truncated_field_exit_2(modal_dir, trained_dir, tmp_path):
     code = main(["forecast", "--checkpoint", str(trained_dir / "model.shrd"),
                  "--field", str(fld), "--horizon", "5", "--out", str(tmp_path)])
     assert code == 2
+
+
+def test_forecast_unselected_checkpoint_exit_2(modal_dir, tmp_path, capsys):
+    out = tmp_path / "zero"
+    assert main(["train", str(_run_config(modal_dir, out, epochs=0))]) == 0
+    capsys.readouterr()
+    code = main(["forecast", "--checkpoint", str(out / "model.shrd"),
+                 "--field", str(modal_dir / "field.fld"), "--horizon", "5",
+                 "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == ["error: no ensemble member selected yet"]
+
+
+def _first_non_finite_frame(step, z, horizon):
+    """First frame t >= 1 at which ``step`` applied t times to ``z`` is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, horizon + 1):
+            try:
+                z = step(z)
+            except sindy.RolloutDivergenceError:
+                return t
+            if not np.all(np.isfinite(z)):
+                return t
+    return None
+
+
+@pytest.mark.parametrize("mode", ["sindy", "koopman"])
+def test_forecast_divergence_exit_3_names_frame(modal_dir, trained_dir, tmp_path, capsys, mode):
+    if mode == "sindy":
+        ckpt = trained_dir / "model.shrd"
+    else:
+        ckpt = tmp_path / "koop" / "model.shrd"
+        assert main(["train", str(_run_config(modal_dir, ckpt.parent, epochs=2)),
+                     "--mode", "koopman"]) == 0
+    model, optimizer, epoch = shred.load_checkpoint(ckpt)
+    if mode == "sindy":
+        model.xi[model.selected_index].data *= 1e3
+        member = model.selected_model()
+        step = lambda z: sindy.sindy_cell(z, member)
+    else:
+        model.K.data *= 1e150
+        step = lambda z: z @ model.K.data
+    shred.save_checkpoint(model, optimizer, epoch, tmp_path / "boom.shrd")
+    fld, sensors = cli._checkpoint_field(model, modal_dir / "field.fld")
+    z0 = model.encode_np(fld.data[:model.config.lag][:, sensors][None])[0]
+    frame = _first_non_finite_frame(step, z0, 200)
+    assert frame is not None
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["forecast", "--checkpoint", str(tmp_path / "boom.shrd"),
+                     "--field", str(modal_dir / "field.fld"), "--horizon", "200",
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.splitlines() == [f"numerical abort: non-finite state at frame {frame}"]
 
 
 def test_landscape_grid_rows_and_center(modal_dir, trained_dir, tmp_path):

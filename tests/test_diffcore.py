@@ -73,7 +73,7 @@ def test_finite_diff_quadratic_exact():
     assert err < 1e-9
 
 
-def test_finite_diff_gru_cell():
+def test_finite_diff_gru_cell(gru_cell):
     rng = np.random.default_rng(5)
     gru = nets.init_gru(rng, input_size=3, hidden_sizes=[4])
     layer = gru.layers[0]
@@ -83,7 +83,7 @@ def test_finite_diff_gru_cell():
     params = list(layer.tensors().values())
 
     def f():
-        return dc.mse(nets.gru_cell(Tensor(x), Tensor(h0), layer), Tensor(target))
+        return dc.mse(gru_cell(Tensor(x), Tensor(h0), layer), Tensor(target))
 
     assert dc.finite_diff_check(f, params, h=1e-6) < 1e-5
 
@@ -99,6 +99,85 @@ def test_finite_diff_gru_sequence_with_input_gradient():
         return dc.mse(dc.gru_sequence(x, *layer.tensors().values()), Tensor(target))
 
     assert dc.finite_diff_check(f, params, h=1e-6) < 1e-6
+
+
+def _two_layer_stack(seed):
+    """A two-layer GRU of unequal widths (6 then 4) over 3 inputs, run as fused layers."""
+    gru = nets.init_gru(np.random.default_rng(seed), input_size=3, hidden_sizes=[6, 4])
+
+    def run(x):
+        for layer in gru.layers:
+            x = dc.gru_sequence(x, *layer.tensors().values())
+        return x
+
+    return gru, run
+
+
+def test_finite_diff_two_layer_gru_sequence_every_step_loss():
+    rng = np.random.default_rng(15)
+    gru, run = _two_layer_stack(16)
+    x = Tensor(rng.standard_normal((2, 4, 3)), requires_grad=True)
+    target = rng.standard_normal((2, 4, 4))
+    params = [x] + list(gru.tensors().values())
+    assert dc.finite_diff_check(lambda: dc.mse(run(x), Tensor(target)), params, h=1e-6) < 1e-6
+
+
+def _gru_sequence_grads(x_data, layer, target):
+    x = Tensor(x_data, requires_grad=True)
+    out = dc.gru_sequence(x, *layer.tensors().values())
+    return out, dc.mse(out, Tensor(target)), x
+
+
+def test_gru_sequence_non_contiguous_input_matches_contiguous_copy():
+    rng = np.random.default_rng(17)
+    layer = nets.init_gru(rng, input_size=3, hidden_sizes=[4]).layers[0]
+    target = rng.standard_normal((5, 7, 4))
+    transposed = rng.standard_normal((7, 5, 8)).transpose(1, 0, 2)[..., 2:5]
+    strided = rng.standard_normal((5, 14, 6))[:, ::2, ::2]
+    for view in (transposed, strided):
+        assert view.shape == (5, 7, 3) and not view.flags.c_contiguous
+        results = []
+        for x_data in (view, np.ascontiguousarray(view)):
+            out, loss, x = _gru_sequence_grads(x_data, layer, target)
+            dc.backward(loss)
+            results.append((out.data.copy(), x.grad,
+                            [t.grad for t in layer.tensors().values()]))
+            for t in layer.tensors().values():
+                t.zero_grad()
+        (out_v, dx_v, g_v), (out_c, dx_c, g_c) = results
+        assert np.array_equal(out_v, out_c) and np.array_equal(dx_v, dx_c)
+        assert all(np.array_equal(a, b) for a, b in zip(g_v, g_c))
+
+
+def test_gru_sequence_leaves_input_unchanged():
+    rng = np.random.default_rng(18)
+    gru, run = _two_layer_stack(19)
+    x_data = rng.standard_normal((3, 5, 3))
+    before = x_data.copy()
+    x = Tensor(x_data, requires_grad=True)
+    out = run(x)
+    assert np.array_equal(x.data, before)
+    dc.backward(dc.mse(out, Tensor(rng.standard_normal(out.shape))))
+    assert np.array_equal(x.data, before) and x.data is x_data
+
+
+def test_gru_sequence_back_to_back_graphs_share_no_buffers():
+    rng = np.random.default_rng(20)
+    layer = nets.init_gru(rng, input_size=3, hidden_sizes=[4]).layers[0]
+    x1, x2 = rng.standard_normal((2, 4, 6, 3))
+    target = rng.standard_normal((4, 6, 4))
+
+    def grads(loss, x):
+        dc.backward(loss)
+        out = [x.grad] + [t.grad for t in layer.tensors().values()]
+        for t in layer.tensors().values():
+            t.zero_grad()
+        return out
+
+    alone = [grads(*_gru_sequence_grads(x, layer, target)[1:]) for x in (x1, x2)]
+    graphs = [_gru_sequence_grads(x, layer, target)[1:] for x in (x1, x2)]  # both built first
+    for ref, graph in zip(alone, graphs):
+        assert all(np.array_equal(a, b) for a, b in zip(ref, grads(*graph)))
 
 
 def test_gru_sequence_is_one_node_and_skips_constant_input_gradient():

@@ -15,17 +15,17 @@ def _zero_layer(in_w, width):
                                W_h=z(in_w, width), U_h=z(width, width), b_h=z(width))
 
 
-def test_gru_cell_zero_fixed_point():
+def test_gru_cell_zero_fixed_point(gru_cell):
     layer = _zero_layer(3, 4)
-    out = nets.gru_cell(Tensor(np.ones((2, 3))), Tensor(np.zeros((2, 4))), layer)
+    out = gru_cell(Tensor(np.ones((2, 3))), Tensor(np.zeros((2, 4))), layer)
     assert np.array_equal(out.data, np.zeros((2, 4)))
 
 
-def test_gru_cell_saturated_update_gate_carries_state():
+def test_gru_cell_saturated_update_gate_carries_state(gru_cell):
     layer = _zero_layer(3, 4)
     layer.b_u.data[:] = -50.0  # u -> 0, so h_t ~ h_prev
     h_prev = np.array([[0.3, -0.2, 0.5, 0.1]])
-    out = nets.gru_cell(Tensor(np.ones((1, 3))), Tensor(h_prev), layer)
+    out = gru_cell(Tensor(np.ones((1, 3))), Tensor(h_prev), layer)
     assert np.allclose(out.data, h_prev, atol=1e-12)
 
 
@@ -38,20 +38,20 @@ def _oracle_gru_cell(x, h, L):
     return (1.0 - u) * h + u * cand
 
 
-def test_gru_cell_matches_formula_oracle():
+def test_gru_cell_matches_formula_oracle(gru_cell):
     rng = np.random.default_rng(17)
     gru = nets.init_gru(rng, input_size=5, hidden_sizes=[4])
     layer = gru.layers[0]
     x = rng.standard_normal((6, 5))
     h = rng.standard_normal((6, 4))
-    out = nets.gru_cell(Tensor(x), Tensor(h), layer)
+    out = gru_cell(Tensor(x), Tensor(h), layer)
     assert np.allclose(out.data, _oracle_gru_cell(x, h, layer), atol=1e-14)
 
 
-def test_gru_cell_width_mismatch():
+def test_gru_cell_width_mismatch(gru_cell):
     layer = _zero_layer(3, 4)
     with pytest.raises(nets.WidthMismatchError):
-        nets.gru_cell(Tensor(np.ones((1, 2))), Tensor(np.zeros((1, 4))), layer)
+        gru_cell(Tensor(np.ones((1, 2))), Tensor(np.zeros((1, 4))), layer)
 
 
 def test_encode_window_single_step_equals_cell():
@@ -197,26 +197,30 @@ def test_top_layer_width_is_latent_dim():
     assert z.shape == (2, 3)
 
 
-def _cell_unroll(window, gru):
-    """Per-step encoder built from ``gru_cell``: the reference for the fused layers."""
-    xs = [Tensor(window[:, t]) for t in range(window.shape[1])]
+def _cell_unroll(x, gru, gru_cell):
+    """Per-step encoder built from ``gru_cell``, the reference for the fused layers.
+
+    Returns the top layer's hidden state at every step of the (batch, L, S) input tensor.
+    """
+    batch, lag, width_in = x.shape
+    xs = [dc.reshape(dc.slice_axis(x, 1, t, t + 1), (batch, width_in)) for t in range(lag)]
     for layer, width in zip(gru.layers, gru.hidden_sizes):
-        h = Tensor(np.zeros((window.shape[0], width)))
+        h = Tensor(np.zeros((batch, width)))
         outs = []
         for x in xs:
-            h = nets.gru_cell(x, h, layer)
+            h = gru_cell(x, h, layer)
             outs.append(h)
         xs = outs
-    return xs[-1]
+    return xs
 
 
-def test_encode_window_forward_and_gradients_match_cell_unroll():
+def test_encode_window_forward_and_gradients_match_cell_unroll(gru_cell):
     rng = np.random.default_rng(24)
     gru, dec = nets.init_params(3, 5, [6, 3], [8], 7)
     window = rng.standard_normal((9, 7, 5))
     target = rng.standard_normal((9, 7))
     results = []
-    for encode in (_cell_unroll, nets.encode_window):
+    for encode in (lambda w, g: _cell_unroll(Tensor(w), g, gru_cell)[-1], nets.encode_window):
         z = encode(window, gru)
         dc.backward(dc.mse(nets.decode(z, dec), Tensor(target)))
         results.append((z.data, {k: t.grad for k, t in gru.tensors().items()}))
@@ -227,6 +231,35 @@ def test_encode_window_forward_and_gradients_match_cell_unroll():
     for name in g_ref:
         scale = max(1.0, np.max(np.abs(g_ref[name])))
         assert np.max(np.abs(g[name] - g_ref[name])) / scale < 1e-12, name
+
+
+@pytest.mark.parametrize("batch, lag", [(1, 7), (5, 1), (4, 6)])
+def test_gru_sequence_two_layer_stack_matches_cell_oracle(gru_cell, batch, lag):
+    rng = np.random.default_rng(28)
+    gru = nets.init_gru(rng, input_size=5, hidden_sizes=[6, 4])
+    window = rng.standard_normal((batch, lag, 5))
+    target = rng.standard_normal((batch, lag, 4))
+
+    def fused(x):
+        for layer in gru.layers:
+            x = dc.gru_sequence(x, *layer.tensors().values())
+        return x
+
+    def per_step(x):
+        hs = _cell_unroll(x, gru, gru_cell)
+        return dc.concat([dc.reshape(h, (batch, 1, 4)) for h in hs], axis=1)
+
+    results = []
+    for encode in (per_step, fused):
+        x = Tensor(window, requires_grad=True)
+        seq = encode(x)
+        dc.backward(dc.mse(seq, Tensor(target)))  # reads every time step
+        results.append([seq.data, x.grad] + [t.grad for t in gru.tensors().values()])
+        for t in gru.tensors().values():
+            t.zero_grad()
+    for ref, got in zip(*results):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) / max(1.0, np.max(np.abs(ref))) < 1e-12
 
 
 def _tape_size(root):

@@ -258,6 +258,7 @@ def test_rollout_divergence_reports_frame_chained_from_substep():
     with pytest.raises(sindy.RolloutDivergenceError) as info:
         sindy.rollout(model, np.array([2.0]), 99)
     assert info.value.substep == frame
+    assert str(info.value) == f"non-finite state at frame {frame}"
     assert isinstance(info.value.__cause__, sindy.RolloutDivergenceError)
     assert info.value.__cause__.substep == substep
 
