@@ -107,6 +107,9 @@ def load_run_config(path) -> dict:
 
 def _prepare_dataset(cfg: dict, train_cfg: shred.ShredConfig):
     fld = data.load_field(cfg["field"])
+    if not math.isclose(train_cfg.dt, fld.dt_physical, rel_tol=1e-9):
+        raise UsageError(f"train.dt {train_cfg.dt!r} does not match the field's frame "
+                         f"interval dt_physical {fld.dt_physical!r}")
     if cfg.get("standardize", True) and fld.scale is None:
         fld = data.standardize(fld)
     sensors_cfg = cfg.get("sensors", {"count": min(32, fld.n_space), "seed": train_cfg.seed})

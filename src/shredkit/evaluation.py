@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -29,13 +30,31 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
+# The function _pmap's forked workers call; set only while a pool runs.
+_pool_fn = None
+
+
+def _pool_call(args: tuple):
+    return _pool_fn(*args)
+
+
 def _pmap(fn, items: list[tuple]):
-    """Order-preserving ``fn(*args)`` per argument tuple, over processes when it pays off."""
+    """Order-preserving ``fn(*args)`` per argument tuple, over processes when it pays off.
+
+    The workers are forked, so ``fn`` and whatever it refers to reach them by
+    inheritance; only the argument tuples and the results are pickled.
+    """
+    global _pool_fn
     workers = worker_count()
     if workers <= 1 or len(items) < 2 * workers:
         return [fn(*args) for args in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *zip(*items)))
+    _pool_fn = fn
+    try:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
+            return list(pool.map(_pool_call, items))
+    finally:
+        _pool_fn = None
 
 
 # ---------------------------------------------------------------------------
@@ -177,26 +196,35 @@ def _perturbed_losses(model: ShredModel, loss_fn, alpha: float, seeds: tuple[int
                       points: np.ndarray) -> np.ndarray:
     """Loss at each (t_x, t_y) row of ``points`` in the alpha-scaled direction plane.
 
-    Non-finite losses are recorded as +inf. The model's parameters are
-    restored exactly afterwards.
+    Non-finite losses are recorded as +inf. The points are split into
+    contiguous chunks that ``_pmap`` spreads over its workers; each point gets
+    the same arithmetic wherever it runs. The model's parameters are restored
+    exactly afterwards (pool workers perturb only their own copies).
     """
     params = model.named_parameters()
     base = {name: p.data.copy() for name, p in params.items()}
     rx = _directions(params, seeds[0])
     ry = _directions(params, seeds[1])
-    values = np.empty(len(points))
-    try:
-        for i, (tx, ty) in enumerate(points):
+
+    def losses(chunk: np.ndarray) -> np.ndarray:
+        values = np.empty(len(chunk))
+        try:
+            for i, (tx, ty) in enumerate(chunk):
+                for name, p in params.items():
+                    # Perturbation summed first: IEEE commutativity then makes
+                    # the grid exactly transpose under direction swap.
+                    p.data = base[name] + ((tx * alpha) * rx[name] + (ty * alpha) * ry[name])
+                v = loss_fn()
+                values[i] = v if np.isfinite(v) else np.inf
+        finally:
             for name, p in params.items():
-                # Perturbation summed first: IEEE commutativity then makes
-                # the grid exactly transpose under direction swap.
-                p.data = base[name] + ((tx * alpha) * rx[name] + (ty * alpha) * ry[name])
-            v = loss_fn()
-            values[i] = v if np.isfinite(v) else np.inf
-    finally:
-        for name, p in params.items():
-            p.data = base[name]
-    return values
+                p.data = base[name]
+        return values
+
+    # Two chunks per worker, so that _pmap takes its pool whenever there is
+    # more than one worker and a worker that finishes early takes a spare.
+    chunks = np.array_split(points, 2 * worker_count())
+    return np.concatenate(_pmap(losses, [(c,) for c in chunks]))
 
 
 def landscape_scan(model: ShredModel, loss_fn, alpha: float, grid_n: int,
@@ -327,9 +355,9 @@ def _scaling_fit(n: int, noise: float, seed: int) -> tuple[float, np.ndarray, fl
     targets = X @ G.T + noise * rng.standard_normal((n, 2))
     gram = theta.T @ theta
     lam_min = float(np.linalg.eigvalsh(gram).min()) / n
-    fit = sindy.fit_stlsq(X, targets, spec, threshold=0.0, iters=1, ridge=0.0)
-    coef_err = float(np.linalg.norm(fit.Xi - xi_true))
-    return coef_err, fit.Xi, lam_min
+    Xi, _ = sindy._stlsq(theta, targets, threshold=0.0, iters=1, ridge=0.0)
+    coef_err = float(np.linalg.norm(Xi - xi_true))
+    return coef_err, Xi, lam_min
 
 
 def _rollout_errors(Xis: np.ndarray, horizon: float) -> list[float]:

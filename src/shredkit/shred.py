@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import numbers
 import os
 import struct
@@ -38,8 +39,10 @@ class ConfigError(ValueError):
 
 
 class NumericalAbortError(RuntimeError):
-    def __init__(self, epoch: int, batch: int, breakdown: dict):
-        super().__init__(f"non-finite loss at epoch {epoch}, batch {batch}: {breakdown}")
+    """A non-finite ``what`` ("loss" or "gradient") stopped training before the step."""
+
+    def __init__(self, what: str, epoch: int, batch: int, breakdown: dict):
+        super().__init__(f"non-finite {what} at epoch {epoch}, batch {batch}: {breakdown}")
         self.epoch = epoch
         self.batch = batch
         self.breakdown = breakdown
@@ -474,7 +477,7 @@ def train(dataset: WindowedDataset, config: ShredConfig,
             loss, parts = combined_loss(batch, model, train_mode=True, rng=drop_rng,
                                         dynamics_enabled=use_dynamics)
             if not np.isfinite(parts["total"]):
-                raise NumericalAbortError(epoch, bi, parts)
+                raise NumericalAbortError("loss", epoch, bi, parts)
             dc.backward(loss)
             if not use_dynamics:
                 # Dynamics params sit outside the graph during warmup and once
@@ -483,6 +486,12 @@ def train(dataset: WindowedDataset, config: ShredConfig,
                     p = optimizer.params[name]
                     if p.grad is None:
                         p.grad = np.zeros(p.shape)
+            # One sum over all gradients: any NaN or inf in them makes it non-finite.
+            if not math.isfinite(sum(float(p.grad.sum()) for p in optimizer.params.values()
+                                     if p.grad is not None)):
+                bad = [name for name, p in optimizer.params.items()
+                       if p.grad is not None and not np.all(np.isfinite(p.grad))]
+                raise NumericalAbortError("gradient", epoch, bi, {"parameters": bad})
             optimizer.step()
             if model.xi:
                 _apply_masks(model)

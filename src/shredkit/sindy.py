@@ -257,7 +257,14 @@ def fit_stlsq(Z: np.ndarray, dZ: np.ndarray, spec: LibrarySpec, threshold: float
     if n < p:
         warnings.warn(f"fit_stlsq: {n} samples < {p} library terms; fit may be underdetermined",
                       stacklevel=2)
-    d = spec.dim
+    Xi, mask = _stlsq(theta, dZ, threshold, iters, ridge)
+    return SindyModel(spec=spec, Xi=Xi, mask=mask, dt=dt, k=k)
+
+
+def _stlsq(theta: np.ndarray, dZ: np.ndarray, threshold: float, iters: int,
+           ridge: float) -> tuple[np.ndarray, np.ndarray]:
+    """``fit_stlsq``'s (Xi, mask) from an already evaluated (n, p) library ``theta``."""
+    p, d = theta.shape[1], dZ.shape[1]
     Xi = np.zeros((p, d))
     mask = np.ones((p, d), dtype=bool)
     for j in range(d):
@@ -266,7 +273,8 @@ def fit_stlsq(Z: np.ndarray, dZ: np.ndarray, spec: LibrarySpec, threshold: float
         for _ in range(max(1, iters)):
             if not active.any():
                 break
-            coef = _solve_ridge(theta[:, active], dZ[:, j], ridge)
+            # A full support solves on theta itself, not on an indexed copy.
+            coef = _solve_ridge(theta if active.all() else theta[:, active], dZ[:, j], ridge)
             keep = np.abs(coef) >= threshold
             if keep.all():
                 settled = coef
@@ -283,7 +291,7 @@ def fit_stlsq(Z: np.ndarray, dZ: np.ndarray, spec: LibrarySpec, threshold: float
             # Ridge-free polish on the surviving support; rank-deficient
             # supports fall back to the minimum-norm solution.
             Xi[active, j] = np.linalg.lstsq(theta[:, active], dZ[:, j], rcond=None)[0]
-    return SindyModel(spec=spec, Xi=Xi, mask=mask, dt=dt, k=k)
+    return Xi, mask
 
 
 def sindy_cell(z: np.ndarray, model: SindyModel) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Fixtures shared by the test modules."""
 
+import numpy as np
 import pytest
 
 from shredkit import diffcore as dc
@@ -27,3 +28,22 @@ def _gru_cell(x, h_prev, layer: GruLayerParams):
 def gru_cell():
     """The per-step GRU cell, the oracle the fused ``diffcore.gru_sequence`` is tested against."""
     return _gru_cell
+
+
+@pytest.fixture
+def nan_relu_gradient(monkeypatch):
+    """``diffcore.relu`` with its usual forward and a NaN backward.
+
+    The decoder's hidden layers call it, so a training batch keeps a finite
+    loss while the gradients of the encoder and the decoder's hidden layers
+    turn NaN.
+    """
+    relu = dc.relu
+
+    def nan_relu(a):
+        out = relu(a)
+        if out.requires_grad:
+            out._backward = lambda g: (np.full(a.shape, np.nan),)
+        return out
+
+    monkeypatch.setattr(dc, "relu", nan_relu)

@@ -149,6 +149,31 @@ def test_train_numerical_abort_exit_3(modal_dir, tmp_path):
     assert code == 3
 
 
+def test_train_non_finite_gradient_exit_3(modal_dir, tmp_path, capsys, nan_relu_gradient):
+    out = tmp_path / "nan-grad"
+    assert main(["train", str(_run_config(modal_dir, out))]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical abort: non-finite gradient at epoch 1, batch 0: ")
+    assert err.count("\n") == 1
+    assert not (out / "model.shrd").exists()
+
+
+def test_train_dt_mismatch_exit_2(modal_dir, tmp_path, capsys):
+    out = tmp_path / "dt"
+    assert main(["train", str(_run_config(modal_dir, out, dt=0.025))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: train.dt 0.025 ") and "dt_physical 0.02" in err
+    assert err.count("\n") == 1
+    assert not (out / "model.shrd").exists()
+
+
+def test_train_dt_within_relative_tolerance_trains(modal_dir, tmp_path):
+    out = tmp_path / "dt-close"
+    assert main(["train", str(_run_config(modal_dir, out, dt=0.02 * (1 + 1e-12),
+                                          epochs=0))]) == 0
+    assert (out / "model.shrd").exists()
+
+
 def test_train_with_sensor_file(modal_dir, tmp_path):
     sensor_file = tmp_path / "sensors.csv"
     sensor_file.write_text("1\n5\n9\n20\n")

@@ -1,6 +1,7 @@
 """Forecasting, error tables, landscape scanning, convexity, scaling harness."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -240,17 +241,94 @@ def test_landscape_rejects_even_or_tiny_grid():
         landscape_scan(model, loss_fn, alpha=1.0, grid_n=1)
 
 
-def test_landscape_nonfinite_becomes_inf():
+def test_landscape_nonfinite_becomes_inf(monkeypatch):
+    # The NaN is keyed to the perturbed point (t_x, t_y) = (-1, 0), so it shows
+    # in the same cell however the points are spread over pool workers.
     model, ds, _, _ = _trained_tiny_model()
-    calls = {"n": 0}
+    alpha, seeds = 0.5, (0, 1)
+    params = model.named_parameters()
+    name = sorted(params)[0]
+    rx = evaluation._directions(params, seeds[0])
+    target = params[name].data + (-1.0 * alpha) * rx[name]
     base_fn = evaluation.batch_loss_fn(model, ds)
 
     def flaky():
-        calls["n"] += 1
-        return float("nan") if calls["n"] == 3 else base_fn()
+        if np.allclose(params[name].data, target, rtol=1e-12, atol=0.0):
+            return float("nan")
+        return base_fn()
 
-    grid = landscape_scan(model, flaky, alpha=0.5, grid_n=3)
-    assert np.isinf(grid.values).sum() == 1
+    expected = np.zeros((3, 3), bool)
+    expected[0, 1] = True
+    for workers in ("1", "2"):
+        monkeypatch.setenv("SHRED_THREADS", workers)
+        grid = landscape_scan(model, flaky, alpha=alpha, grid_n=3, seeds=seeds)
+        assert grid.ts[0] == -1.0 and grid.ts[1] == 0.0
+        assert np.array_equal(grid.values == np.inf, expected)
+        assert np.all(np.isfinite(grid.values[~expected]))
+
+
+def _scan_and_segments(model, ds):
+    loss_fn = evaluation.batch_loss_fn(model, ds)
+    grid = landscape_scan(model, loss_fn, alpha=0.5, grid_n=5, seeds=(4, 9))
+    segs = evaluation.landscape_segments(model, loss_fn, 0.5, (4, 9), n_segments=5,
+                                         n_points=5, seed=2)
+    return grid.values, segs
+
+
+def test_landscape_identical_for_one_and_two_workers(monkeypatch):
+    model, ds, _, _ = _trained_tiny_model()
+    monkeypatch.setenv("SHRED_THREADS", "1")
+    serial = _scan_and_segments(model, ds)
+    monkeypatch.setenv("SHRED_THREADS", "2")
+    pooled = _scan_and_segments(model, ds)
+    assert np.array_equal(serial[0], pooled[0])
+    assert np.array_equal(serial[1], pooled[1])
+
+
+def test_pooled_landscape_leaves_parent_parameters_untouched(monkeypatch):
+    monkeypatch.setenv("SHRED_THREADS", "2")
+    model, ds, _, _ = _trained_tiny_model()
+    params = model.named_parameters()
+    before = {k: (p.data, p.data.copy()) for k, p in params.items()}
+    _scan_and_segments(model, ds)
+    for k, p in model.named_parameters().items():
+        assert p.data is before[k][0]
+        assert np.array_equal(p.data, before[k][1])
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_landscape_loss_exception_reaches_caller(monkeypatch, workers):
+    monkeypatch.setenv("SHRED_THREADS", workers)
+    model, ds, _, _ = _trained_tiny_model()
+    params = model.named_parameters()
+    name = sorted(params)[0]
+    base = params[name].data.copy()
+    base_fn = evaluation.batch_loss_fn(model, ds)
+
+    def broken():
+        if not np.array_equal(params[name].data, base):
+            raise ZeroDivisionError("loss blew up")
+        return base_fn()
+
+    with pytest.raises(ZeroDivisionError, match="loss blew up"):
+        landscape_scan(model, broken, alpha=0.5, grid_n=5)
+    assert np.array_equal(params[name].data, base)
+
+
+def test_pmap_runs_a_closure_in_order(monkeypatch):
+    monkeypatch.setenv("SHRED_THREADS", "2")
+    offset = np.arange(3.0)
+    pids = []
+
+    def shifted(i, j):
+        return i * 10 + j + offset, os.getpid()
+
+    out = evaluation._pmap(shifted, [(i, i % 3) for i in range(12)])
+    for i, (value, pid) in enumerate(out):
+        assert np.array_equal(value, i * 10 + i % 3 + offset)
+        pids.append(pid)
+    assert os.getpid() not in pids
+    assert evaluation._pool_fn is None
 
 
 def test_convexity_check_quadratic_passes():

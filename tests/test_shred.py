@@ -193,6 +193,22 @@ def test_train_null_guard_warns_and_continues():
     assert all(np.isfinite(r["loss"]) for r in log)
 
 
+@pytest.mark.parametrize("grad_clip", [None, 1.0])
+def test_train_aborts_on_non_finite_gradient_before_the_step(nan_relu_gradient, monkeypatch,
+                                                             grad_clip):
+    steps = []
+    step = dc.AdamW.step
+    monkeypatch.setattr(dc.AdamW, "step", lambda self: steps.append(1) or step(self))
+    with pytest.raises(shred.NumericalAbortError,
+                       match=r"^non-finite gradient at epoch 1, batch 0: ") as info:
+        shred.train(_tiny_dataset(), _tiny_config(epochs=2, grad_clip=grad_clip))
+    assert steps == []
+    assert (info.value.epoch, info.value.batch) == (1, 0)
+    bad = info.value.breakdown["parameters"]
+    assert "dec0.W" in bad and "gru0.W_u" in bad
+    assert "dec_out.W" not in bad
+
+
 def test_train_deterministic_logs_and_params():
     ds = _tiny_dataset()
     cfg = _tiny_config(epochs=6)
