@@ -177,16 +177,23 @@ def _checkpoint_field(model: shred.ShredModel, path) -> tuple[data.Field, list[i
     """The field at ``path`` in the checkpoint's scale, and the checkpoint's sensor indices."""
     fld = data.load_field(path)
     extra = model.extra
-    if extra.get("scale"):
-        lo, hi = extra["scale"]
+    # The header is JSON, so a number is exactly an int or a float here.
+    scale = extra.get("scale", [])
+    if scale != [] and not (isinstance(scale, list) and len(scale) == 2
+                            and all(type(v) in (int, float) and math.isfinite(v) for v in scale)
+                            and scale[0] < scale[1]):
+        raise UsageError(f"checkpoint scale {scale!r} is not two finite numbers lo < hi")
+    if scale:
+        lo, hi = scale
         fld = data.Field(data=(fld.data - lo) / (hi - lo), grid_shape=fld.grid_shape,
                          scale=(lo, hi), dt_physical=fld.dt_physical)
     elif fld.scale is None:
         fld = data.standardize(fld)
     sensors = extra.get("sensors")
-    if not sensors:
-        raise UsageError("checkpoint carries no sensor indices")
-    if min(sensors) < 0 or max(sensors) >= fld.n_space:
+    if not (sensors and isinstance(sensors, list) and all(type(i) is int for i in sensors)):
+        raise UsageError(f"checkpoint carries no integer sensor indices: {sensors!r}")
+    data.SensorSet(indices=tuple(sensors), seed=-1)  # as trained: increasing, none negative
+    if sensors[-1] >= fld.n_space:
         raise UsageError(f"checkpoint sensors outside field size {fld.n_space}")
     return fld, sensors
 

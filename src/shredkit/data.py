@@ -130,13 +130,6 @@ def standardize(fld: Field) -> Field:
     return replace(fld, data=(fld.data - lo) / (hi - lo), scale=(lo, hi))
 
 
-def destandardize(fld: Field) -> Field:
-    if fld.scale is None:
-        raise DegenerateScaleError("field has no scale metadata")
-    lo, hi = fld.scale
-    return replace(fld, data=fld.data * (hi - lo) + lo, scale=None)
-
-
 @dataclass(frozen=True)
 class SensorSet:
     indices: tuple[int, ...]  # strictly increasing spatial positions, from 0
@@ -171,17 +164,11 @@ def select_sensors(fld: Field, count: int, seed: int, drop_constant: bool = Fals
     return SensorSet(indices=tuple(int(i) for i in chosen), seed=seed)
 
 
-def load_sensor_csv(path, seed: int = -1) -> SensorSet:
-    """One 0-based index per line; supports user-specified placements."""
+def load_sensor_csv(path) -> SensorSet:
+    """One 0-based index per line; user-specified placements carry seed -1."""
     with open(path) as f:
         idx = sorted(int(line.strip()) for line in f if line.strip())
-    return SensorSet(indices=tuple(idx), seed=seed)
-
-
-def save_sensor_csv(sensors: SensorSet, path) -> None:
-    with open(path, "w") as f:
-        for i in sensors.indices:
-            f.write(f"{i}\n")
+    return SensorSet(indices=tuple(idx), seed=-1)
 
 
 @dataclass

@@ -176,12 +176,12 @@ def _directions(params: dict[str, Tensor], seed: int) -> dict[str, np.ndarray]:
     return out
 
 
-def batch_loss_fn(model: ShredModel, dataset: WindowedDataset, batch_size: int = 128):
-    """Deterministic eval-mode loss over a fixed leading batch of training pairs."""
+def batch_loss_fn(model: ShredModel, dataset: WindowedDataset):
+    """Deterministic eval-mode loss over the leading 128 training pairs."""
     horizon = model.config.horizon
     max_start = int(dataset.train_idx.max()) - horizon
     pool = dataset.train_idx[dataset.train_idx <= max_start]
-    starts = pool[:batch_size]
+    starts = pool[:128]
     batch = make_batch(dataset, starts, horizon)
 
     def loss_fn() -> float:

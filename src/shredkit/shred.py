@@ -263,16 +263,13 @@ class ShredModel:
                 raise sindy.RolloutDivergenceError(t + 1, "frame")
         return out
 
-    def encode(self, windows: np.ndarray) -> Tensor:
-        return nets.encode_window(windows, self.gru)
-
-    def encode_np(self, windows: np.ndarray, chunk: int = 512) -> np.ndarray:
-        """Evaluation-mode latents for a (n, L, S) stack of windows."""
+    def encode_np(self, windows: np.ndarray) -> np.ndarray:
+        """Evaluation-mode latents for a (n, L, S) stack of windows, 512 at a time."""
         windows = np.asarray(windows, dtype=np.float64)
         outs = []
         with dc.no_grad():
-            for s in range(0, windows.shape[0], chunk):
-                outs.append(nets.encode_window(windows[s:s + chunk], self.gru).data)
+            for s in range(0, windows.shape[0], 512):
+                outs.append(nets.encode_window(windows[s:s + 512], self.gru).data)
         return np.concatenate(outs, axis=0)
 
     def decode_np(self, z: np.ndarray) -> np.ndarray:
@@ -308,15 +305,14 @@ def _latents(model: ShredModel, dataset: WindowedDataset,
     return model.encode_np(dataset.inputs[idx])
 
 
-def _initial_xi_estimate(model: ShredModel, dataset: WindowedDataset,
-                         max_windows: int = 2048) -> None:
-    """Seed every member's coefficients with a ridge fit to the initial latents.
+def _initial_xi_estimate(model: ShredModel, dataset: WindowedDataset) -> None:
+    """Seed every member's coefficients with a ridge fit to the first 2048 latents.
 
     Untrained-encoder latents are nearly constant, so the fit uses a ridge
     scaled to the feature gram and is discarded entirely if the implied
     one-frame Euler step would be unstable.
     """
-    latents = _latents(model, dataset, np.unique(dataset.train_idx)[:max_windows])
+    latents = _latents(model, dataset, np.unique(dataset.train_idx)[:2048])
     if latents is None:
         return
     dZ = sindy.finite_differences(latents, model.config.dt)
@@ -360,7 +356,7 @@ def combined_loss(batch: Batch, model: ShredModel, train_mode: bool = False,
     groups = len(batch.windows)
     nb = batch.windows[0].shape[0]
     stacked = np.concatenate(batch.windows, axis=0)
-    latents = model.encode(stacked)
+    latents = nets.encode_window(stacked, model.gru)
     recon = nets.decode(latents, model.decoder, train_mode=train_mode, rng=rng)
     recon_loss = dc.mse(recon, Tensor(np.concatenate(batch.targets, axis=0)))
 
@@ -388,16 +384,15 @@ def _apply_masks(model: ShredModel) -> None:
 
 
 def _prune_members(model: ShredModel) -> list[int]:
-    nnz = []
-    for xi, mask, thr in zip(model.xi, model.masks, model.thresholds):
-        mask &= np.abs(xi.data) >= thr
-        xi.data[~mask] = 0.0
-        nnz.append(int(mask.sum()))
-    return nnz
+    for i, thr in enumerate(model.thresholds):
+        pruned = sindy.threshold_prune(model.member(i), thr)
+        model.masks[i] = pruned.mask
+        model.xi[i].data = pruned.Xi
+    return [int(m.sum()) for m in model.masks]
 
 
-def _refit(model: ShredModel, dataset: WindowedDataset, max_windows: int = 4096) -> None:
-    """Snap the dynamics to the one-frame least-squares optimum on the current latents.
+def _refit(model: ShredModel, dataset: WindowedDataset) -> None:
+    """Snap the dynamics to the one-frame least-squares optimum on the first 4096 latents.
 
     Koopman mode fits the linear map from each latent to the next. Sindy mode
     fits each member's active coefficients to forward differences of the
@@ -405,7 +400,7 @@ def _refit(model: ShredModel, dataset: WindowedDataset, max_windows: int = 4096)
     loss; for k > 1 this is a second-order-accurate approximation that the
     gradient phase keeps polishing. Masks are untouched.
     """
-    latents = _latents(model, dataset, np.unique(dataset.train_idx)[:max_windows])
+    latents = _latents(model, dataset, np.unique(dataset.train_idx)[:4096])
     if latents is None:
         return
     if model.mode == "koopman":
@@ -422,6 +417,14 @@ def _refit(model: ShredModel, dataset: WindowedDataset, max_windows: int = 4096)
                 sol, *_ = np.linalg.lstsq(theta[:, active], targets[:, j], rcond=None)
                 new[active, j] = sol
         xi.data = new
+
+
+def _optimizer(model: ShredModel) -> dc.AdamW:
+    """AdamW over every parameter, with no weight decay on the dynamics."""
+    cfg = model.config
+    return dc.AdamW(model.named_parameters(), lr=cfg.learning_rate,
+                    weight_decay=cfg.weight_decay, grad_clip=cfg.grad_clip,
+                    no_decay=model.dynamics_param_names())
 
 
 def train(dataset: WindowedDataset, config: ShredConfig,
@@ -446,10 +449,7 @@ def train(dataset: WindowedDataset, config: ShredConfig,
         config = model.config
     else:
         model = init_model(config, n_sensors, n_space)
-        optimizer = dc.AdamW(model.named_parameters(), lr=config.learning_rate,
-                             weight_decay=config.weight_decay,
-                             grad_clip=config.grad_clip,
-                             no_decay=model.dynamics_param_names())
+        optimizer = _optimizer(model)
         start_epoch = 0
 
     max_start = int(dataset.train_idx.max()) - config.horizon if dataset.train_idx.size else -1
@@ -493,8 +493,7 @@ def train(dataset: WindowedDataset, config: ShredConfig,
                        if p.grad is not None and not np.all(np.isfinite(p.grad))]
                 raise NumericalAbortError("gradient", epoch, bi, {"parameters": bad})
             optimizer.step()
-            if model.xi:
-                _apply_masks(model)
+            _apply_masks(model)
             for k in sums:
                 sums[k] += parts[k]
             n_batches += 1
@@ -592,6 +591,7 @@ def _read_sections(raw: bytes, off: int) -> dict[str, np.ndarray]:
     n = len(raw)
     while off < n:
         name = "<unknown>"
+        start = off
         try:
             (name_len,) = struct.unpack_from("<H", raw, off)
             off += 2
@@ -610,6 +610,8 @@ def _read_sections(raw: bytes, off: int) -> dict[str, np.ndarray]:
             off += 4
         except struct.error:
             raise CheckpointError(f"section {name!r}: truncated container") from None
+        except UnicodeDecodeError:
+            raise CheckpointError(f"section at byte {start}: name is not UTF-8") from None
         if zlib.crc32(name.encode() + payload) & 0xFFFFFFFF != crc:
             raise CheckpointError(f"section {name!r}: checksum mismatch")
         out[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
@@ -651,7 +653,7 @@ _HEADER_CHECKS = {
     "epoch": lambda v: _is_int(v) and v >= 0,
     "adam_step": lambda v: _is_int(v) and v >= 0,
     "selected_index": lambda v: v is None or (_is_int(v) and v >= 0),
-    "thresholds": lambda v: isinstance(v, list) and all(map(_is_real, v)),
+    "thresholds": lambda v: isinstance(v, list) and all(_is_real(t) and t >= 0 for t in v),
 }
 
 
@@ -707,9 +709,7 @@ def load_checkpoint(path) -> tuple[ShredModel, dc.AdamW, int]:
         model.thresholds = [float(t) for t in header["thresholds"]]
     model.selected_index = header["selected_index"]
     model.extra = header.get("extra", {})
-    optimizer = dc.AdamW(model.named_parameters(), lr=config.learning_rate,
-                         weight_decay=config.weight_decay, grad_clip=config.grad_clip,
-                         no_decay=model.dynamics_param_names())
+    optimizer = _optimizer(model)
     optimizer.load_state_arrays({name: section(name) for name in optimizer.state_arrays()},
                                 header["adam_step"])
     model.optimizer = optimizer

@@ -107,12 +107,6 @@ class LibrarySpec:
                 "include_constant": self.include_constant,
                 "trig": [[k, f] for k, f in self.trig]}
 
-    @staticmethod
-    def from_dict(d: dict) -> "LibrarySpec":
-        return LibrarySpec(dim=int(d["dim"]), poly_degree=int(d["poly_degree"]),
-                           include_constant=bool(d["include_constant"]),
-                           trig=tuple((k, float(f)) for k, f in d["trig"]))
-
 
 def evaluate_library(Z: np.ndarray, spec: LibrarySpec) -> np.ndarray:
     """Evaluate all candidate functions on states Z of shape (n, d) -> (n, p)."""
@@ -190,24 +184,11 @@ class SindyModel:
         return {"spec": self.spec.to_dict(), "Xi": self.Xi.tolist(),
                 "mask": self.mask.astype(int).tolist(), "dt": self.dt, "k": self.k}
 
-    @staticmethod
-    def from_dict(d: dict) -> "SindyModel":
-        return SindyModel(spec=LibrarySpec.from_dict(d["spec"]),
-                          Xi=np.asarray(d["Xi"], dtype=np.float64),
-                          mask=np.asarray(d["mask"], dtype=bool),
-                          dt=float(d["dt"]), k=int(d["k"]))
-
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
-    @staticmethod
-    def from_json(text: str) -> "SindyModel":
-        return SindyModel.from_dict(json.loads(text))
-
 
 def threshold_ladder(low: float, high: float, count: int) -> list[float]:
-    if count == 1:
-        return [low]
     return list(np.linspace(low, high, count))
 
 

@@ -1,9 +1,11 @@
 """End-to-end command wiring, exit codes, and manifest reproducibility."""
 
+import argparse
 import importlib.metadata
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -404,25 +406,51 @@ def test_landscape_invalid_grid_exit_2(modal_dir, trained_dir, tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("command", ["landscape", "forecast"])
-@pytest.mark.parametrize("sensors", [None, [], [0, 36], [-1, 3]])
-def test_checkpoint_without_usable_sensors_exit_2(modal_dir, trained_dir, tmp_path, capsys,
-                                                  command, sensors):
+def _run_with_extra(modal_dir, trained_dir, tmp_path, command, key, value) -> int:
+    """Run ``command`` on the trained checkpoint with ``extra[key]`` set (None deletes it)."""
     blob = (trained_dir / "model.shrd").read_bytes()
     hlen = int.from_bytes(blob[8:12], "little")
     header = json.loads(blob[12:12 + hlen])
-    if sensors is None:
-        del header["extra"]["sensors"]
+    if value is None:
+        del header["extra"][key]
     else:
-        header["extra"]["sensors"] = sensors
+        header["extra"][key] = value
     new = json.dumps(header).encode()
-    ckpt = tmp_path / "sensors.shrd"
+    ckpt = tmp_path / "extra.shrd"
     ckpt.write_bytes(blob[:8] + len(new).to_bytes(4, "little") + new + blob[12 + hlen:])
     extra = ["--horizon", "5"] if command == "forecast" else ["--grid", "3", "--segments", "3"]
-    code = main([command, "--checkpoint", str(ckpt), "--field", str(modal_dir / "field.fld"),
+    return main([command, "--checkpoint", str(ckpt), "--field", str(modal_dir / "field.fld"),
                  "--out", str(tmp_path), *extra])
-    assert code == 2
+
+
+@pytest.mark.parametrize("command", ["landscape", "forecast"])
+@pytest.mark.parametrize("sensors", [None, [], [0, 36], [-1, 3], [3.5, 7.5], ["a", 3], [5, 2],
+                                     [4, 4]])
+def test_checkpoint_without_usable_sensors_exit_2(modal_dir, trained_dir, tmp_path, capsys,
+                                                  command, sensors):
+    assert _run_with_extra(modal_dir, trained_dir, tmp_path, command, "sensors", sensors) == 2
     assert "sensor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["landscape", "forecast"])
+@pytest.mark.parametrize("scale", [[0.5, 0.5], [1.0, -1.0], [1.0], [0.0, 1.0, 2.0], ["0", 1.0],
+                                   [float("nan"), 1.0], [0.0, float("inf")], "0,1"])
+def test_checkpoint_with_unusable_scale_exit_2(modal_dir, trained_dir, tmp_path, capsys,
+                                               command, scale):
+    assert _run_with_extra(modal_dir, trained_dir, tmp_path, command, "scale", scale) == 2
+    assert "checkpoint scale" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", [None, []])
+def test_checkpoint_without_scale_restandardizes_field(modal_dir, trained_dir, tmp_path,
+                                                       scale):
+    # The field's global extrema are the scale training stored, so the forecast is unchanged.
+    assert main(["forecast", "--checkpoint", str(trained_dir / "model.shrd"),
+                 "--field", str(modal_dir / "field.fld"), "--horizon", "5",
+                 "--out", str(tmp_path / "stored")]) == 0
+    assert _run_with_extra(modal_dir, trained_dir, tmp_path, "forecast", "scale", scale) == 0
+    assert ((tmp_path / "forecast.json").read_bytes()
+            == (tmp_path / "stored" / "forecast.json").read_bytes())
 
 
 def _strict_json(text: str):
@@ -522,3 +550,56 @@ def test_console_entry_point_help():
     # read the subcommand choices that argparse lists as `{a,b,...}`.
     commands = re.search(r"\{([\w,-]+)\}", out.stdout).group(1).split(",")
     assert "generate" in commands and "validate-theory" in commands, out.stdout
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_blocks() -> list[list[str]]:
+    """The lines of each fenced block in the README, `\\` continuations joined."""
+    blocks, block = [], None
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            if block is None:
+                block = []
+            else:
+                blocks.append(block)
+                block = None
+        elif block is not None:
+            if block and block[-1].endswith("\\"):
+                block[-1] = block[-1][:-1] + line
+            else:
+                block.append(line)
+    return blocks
+
+
+def test_readme_commands_parse():
+    parser = cli.build_parser()
+    # Exact flags only: an abbreviation parses today, but not once a longer flag shares it.
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for sub in subparsers.choices.values():
+        sub.allow_abbrev = False
+    commands = [shlex.split(line, comments=True)
+                for block in _readme_blocks() for line in block if line.startswith("shredkit ")]
+    failed = []
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            failed.append(shlex.join(argv))
+    assert failed == []
+    # The recipes exercise every subcommand, which also shows the collector found them.
+    assert {argv[1] for argv in commands} == {"generate", "train", "forecast", "landscape",
+                                              "validate-theory"}
+
+
+def test_readme_run_configs_validate():
+    configs = []
+    for block in _readme_blocks():
+        text = "\n".join(block)
+        configs += [json.loads(body) for body in re.findall(r"<<'EOF'\n(.*?)\nEOF", text, re.S)]
+    assert configs
+    for cfg in configs:
+        cli._check_keys(cfg, cli._RUN_KEYS, "run config")
+        cli._check_keys(cfg["sensors"], cli._SENSOR_KEYS, "sensors config")
+        shred.ShredConfig.from_dict(cfg["train"])

@@ -183,6 +183,18 @@ def test_train_nnz_monotone_across_events():
         assert all(l <= e for e, l in zip(earlier, later))
 
 
+def test_prune_members_thresholds_each_member_at_its_own_level():
+    model = shred.init_model(_tiny_config(ensemble_size=2, poly_degree=1, threshold_low=0.1,
+                                          threshold_high=0.5), n_sensors=2, n_space=3)
+    coeffs = np.array([[0.05, 0.3], [0.6, -0.2], [0.1, 0.0]])  # terms 1, z1, z2
+    for xi in model.xi:
+        xi.data = coeffs.copy()
+    assert shred._prune_members(model) == [4, 1]
+    for mask, xi, thr in zip(model.masks, model.xi, (0.1, 0.5)):
+        assert np.array_equal(mask, np.abs(coeffs) >= thr)
+        assert np.array_equal(xi.data, np.where(mask, coeffs, 0.0))
+
+
 def test_train_null_guard_warns_and_continues():
     ds = _tiny_dataset()
     cfg = _tiny_config(epochs=4, threshold_interval=1, threshold_low=50.0,
@@ -452,6 +464,7 @@ def test_checkpoint_header_missing_key_raises(tmp_path, mode, key):
     ("thresholds", ["0.2", 2.0]), ("thresholds", [0.2]), ("selected_index", "0"),
     ("selected_index", True), ("selected_index", 2), ("selected_index", -1),
     ("adam_step", 1.5), ("adam_step", -1), ("epoch", "0"), ("epoch", None), ("extra", [1]),
+    ("thresholds", [-0.2, 2.0]), ("thresholds", [float("nan"), 2.0]),
 ])
 def test_checkpoint_header_bad_value_raises(tmp_path, key, value):
     path = tmp_path / "m.shrd"
@@ -472,6 +485,17 @@ def test_checkpoint_truncated_fixed_header_names_offset(tmp_path):
     path = tmp_path / "m.shrd"
     path.write_bytes(b"SHRD\x01\x00")
     with pytest.raises(shred.CheckpointError, match="truncated header at byte 6"):
+        shred.load_checkpoint(path)
+
+
+def test_checkpoint_section_name_not_utf8_names_offset(tmp_path):
+    path = tmp_path / "m.shrd"
+    blob = bytearray(_small_checkpoint(path))
+    (hlen,) = struct.unpack_from("<I", blob, 8)
+    start = 12 + hlen  # the first section: u16 name length, then the name
+    blob[start + 2] = 0xFF
+    path.write_bytes(bytes(blob))
+    with pytest.raises(shred.CheckpointError, match=f"section at byte {start}: name is not UTF-8"):
         shred.load_checkpoint(path)
 
 
