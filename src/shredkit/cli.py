@@ -221,6 +221,9 @@ def cmd_forecast(args) -> int:
     out = _ensure_out(args.out)
     if args.held_out_sensors:
         held = [int(x) for x in Path(args.held_out_sensors).read_text().split()]
+        for i in held:
+            if not 0 <= i < fld.n_space:
+                raise UsageError(f"held-out sensor {i} outside field size {fld.n_space}")
         report.traces = evaluation.sensor_traces(report.predictions[:n_eval], truth,
                                                  held, tuple(sensors))
         with open(out / "traces.csv", "w") as f:
@@ -276,7 +279,7 @@ def cmd_landscape(args) -> int:
                                          n_segments=args.segments, n_points=9,
                                          seed=seeds[0])
     passed, violations = evaluation.convexity_check(segs, tolerance=args.tolerance)
-    frac = evaluation.segment_pass_fraction(segs, tolerance=args.tolerance)
+    frac = (len(segs) - len({v[0] for v in violations})) / len(segs)
     verdict = {"convex": bool(passed), "segment_pass_fraction": frac,
                "violations": len(violations), "tolerance": args.tolerance,
                "base_loss": grid.base_loss}
@@ -313,10 +316,11 @@ def cmd_validate_theory(args) -> int:
                                                  "workers": evaluation.worker_count(),
                                                  "wall_time_s": wall})
         return EXIT_OK if (slope_ok and ratio_ok) else EXIT_ACCEPTANCE
-    gru_epochs = args.gru_epochs or evaluation.SineComparisonConfig.gru_epochs
+    if args.gru_epochs < 1:
+        raise UsageError(f"--gru-epochs must be >= 1, got {args.gru_epochs}")
     if args.suite == "sine":
         report = evaluation.sine_comparison(
-            evaluation.SineComparisonConfig(seed=args.seed, gru_epochs=gru_epochs))
+            evaluation.SineComparisonConfig(seed=args.seed, gru_epochs=args.gru_epochs))
         payload = report.to_dict()
         coeff_ok = abs(report.sin_coefficient + 1.0) < 1e-3
         order_ok = report.sindy_mse < report.gru_mse
@@ -327,10 +331,8 @@ def cmd_validate_theory(args) -> int:
         _write_manifest(out, "validate-theory", {"suite": "sine", "seed": args.seed})
         return EXIT_OK if (coeff_ok and order_ok) else EXIT_ACCEPTANCE
     # thm2-qual: recurrent-net extrapolation error must compound with horizon.
-    short = evaluation.sine_comparison(evaluation.SineComparisonConfig(
-        seed=args.seed, n_test=1000, gru_epochs=gru_epochs))
-    long = evaluation.sine_comparison(evaluation.SineComparisonConfig(
-        seed=args.seed, n_test=2000, gru_epochs=gru_epochs))
+    short, long = evaluation.sine_horizons(evaluation.SineComparisonConfig(
+        seed=args.seed, n_test=2000, gru_epochs=args.gru_epochs), (1000, 2000))
     payload = {"short": short.to_dict(), "long": long.to_dict()}
     ok = (short.sindy_mse < short.gru_mse and long.sindy_mse < long.gru_mse
           and long.gru_mse >= short.gru_mse)
@@ -364,10 +366,11 @@ def _dump(path: Path, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="shredkit", description=__doc__)
+    p = argparse.ArgumentParser(prog="shredkit", description=__doc__, allow_abbrev=False)
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", help="write a synthetic field + ground-truth sidecar")
+    g = sub.add_parser("generate", help="write a synthetic field + ground-truth sidecar",
+                       allow_abbrev=False)
     g.add_argument("kind", choices=["modal", "pendulum", "sine"])
     g.add_argument("--out", required=True)
     g.add_argument("--grid", type=int, nargs=2, default=[16, 16])
@@ -381,13 +384,14 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--omega0", type=float, default=0.0)
     g.set_defaults(func=cmd_generate)
 
-    t = sub.add_parser("train", help="train from a JSON run config")
+    t = sub.add_parser("train", help="train from a JSON run config", allow_abbrev=False)
     t.add_argument("config")
     t.add_argument("--mode", choices=["sindy", "koopman"], default=None)
     t.add_argument("--resume", default=None)
     t.set_defaults(func=cmd_train)
 
-    f = sub.add_parser("forecast", help="latent rollout + decode from a checkpoint")
+    f = sub.add_parser("forecast", help="latent rollout + decode from a checkpoint",
+                       allow_abbrev=False)
     f.add_argument("--checkpoint", required=True)
     f.add_argument("--field", required=True)
     f.add_argument("--horizon", type=int, required=True)
@@ -397,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--out", default=".")
     f.set_defaults(func=cmd_forecast)
 
-    l = sub.add_parser("landscape", help="2-D loss landscape scan + convexity verdict")
+    l = sub.add_parser("landscape", help="2-D loss landscape scan + convexity verdict",
+                       allow_abbrev=False)
     l.add_argument("--checkpoint", required=True)
     l.add_argument("--field", required=True)
     l.add_argument("--alpha", type=float, default=1.0)
@@ -408,12 +413,14 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--out", default=".")
     l.set_defaults(func=cmd_landscape)
 
-    v = sub.add_parser("validate-theory", help="run a theory-validation suite")
+    v = sub.add_parser("validate-theory", help="run a theory-validation suite",
+                       allow_abbrev=False)
     v.add_argument("--suite", choices=["thm1", "thm2-qual", "sine"], required=True)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--trials", type=int, default=20)
-    v.add_argument("--gru-epochs", type=int, default=None,
-                   help="override the baseline's training epochs (sine suites)")
+    v.add_argument("--gru-epochs", type=int,
+                   default=evaluation.SineComparisonConfig.gru_epochs,
+                   help="the baseline's training epochs (sine suites)")
     v.add_argument("--out", default=".")
     v.set_defaults(func=cmd_validate_theory)
     return p

@@ -290,16 +290,6 @@ def convexity_check(segments: np.ndarray, tolerance: float = 1e-7) -> tuple[bool
     return len(violations) == 0, violations
 
 
-def segment_pass_fraction(segments: np.ndarray, tolerance: float = 1e-7) -> float:
-    """Fraction of segments with no midpoint-convexity violation."""
-    segments = np.atleast_2d(segments)
-    ok = 0
-    for s in range(segments.shape[0]):
-        passed, _ = convexity_check(segments[s:s + 1], tolerance)
-        ok += passed
-    return ok / segments.shape[0]
-
-
 # ---------------------------------------------------------------------------
 # Coefficient-error scaling harness
 # ---------------------------------------------------------------------------
@@ -482,7 +472,6 @@ class SineComparisonReport:
     sindy_mse: float
     gru_mse: float
     sin_coefficient: float
-    config: SineComparisonConfig
 
     def to_dict(self) -> dict:
         return {"sindy_mse": self.sindy_mse, "gru_mse": self.gru_mse,
@@ -498,6 +487,13 @@ def sine_comparison(config: SineComparisonConfig | None = None) -> SineCompariso
     corrections.
     """
     cfg = config or SineComparisonConfig()
+    return sine_horizons(cfg, (cfg.n_test,))[0]
+
+
+def sine_horizons(cfg: SineComparisonConfig,
+                  horizons: tuple[int, ...]) -> list[SineComparisonReport]:
+    """One ``sine_comparison`` per increasing horizon h <= n_test, scored on the first h
+    test steps of one fit, one GRU training and one rollout of each model."""
     traj = gen_sine_ode(cfg.x0, cfg.v0, cfg.n_train + cfg.n_test, cfg.dt)
     train = traj[:cfg.n_train + 1]
     test = traj[cfg.n_train:]
@@ -510,11 +506,15 @@ def sine_comparison(config: SineComparisonConfig | None = None) -> SineCompariso
                           dt=cfg.dt, k=40)
     names = spec.term_names(var="x")
     sin_coeff = float(fit.effective_Xi()[names.index("sin(x1)"), 1])
-    try:
-        pred = sindy.rollout(fit, train[-1], cfg.n_test)
-        sindy_mse = float(np.mean((pred - test) ** 2))
-    except sindy.RolloutDivergenceError:
-        sindy_mse = float("inf")
+    # Restarting from the last state at each horizon (sindy_cell keeps no memory) lets
+    # a divergence after one horizon leave the shorter ones their finite scores.
+    pred, sindy_mses = train[-1:], []
+    for h in horizons:
+        try:
+            pred = np.concatenate([pred, sindy.rollout(fit, pred[-1], h + 1 - len(pred))[1:]])
+            sindy_mses.append(float(np.mean((pred - test[:h + 1]) ** 2)))
+        except sindy.RolloutDivergenceError:
+            sindy_mses.append(float("inf"))
 
     # Route (b): stacked GRU, inputs min-max normalized over the training half,
     # teacher-forced one-step training, autoregressive rollout.
@@ -557,12 +557,12 @@ def sine_comparison(config: SineComparisonConfig | None = None) -> SineCompariso
     history = train_n[-w:].copy()
     preds = [train_n[-1].copy()]
     with dc.no_grad():
-        for _ in range(cfg.n_test):
+        for _ in range(horizons[-1]):
             nxt = predict(history[None]).data[0]
             preds.append(nxt)
             history = np.vstack([history[1:], nxt])
     gru_pred = denorm(np.array(preds))
-    gru_mse = float(np.mean((gru_pred - test) ** 2))
 
-    return SineComparisonReport(sindy_mse=sindy_mse, gru_mse=gru_mse,
-                                sin_coefficient=sin_coeff, config=cfg)
+    return [SineComparisonReport(sindy_mse=sindy_mse, sin_coefficient=sin_coeff,
+                                 gru_mse=float(np.mean((gru_pred[:h + 1] - test[:h + 1]) ** 2)))
+            for h, sindy_mse in zip(horizons, sindy_mses)]

@@ -71,7 +71,6 @@ _FIELD_CHECKS = {
     "float": _is_real,
     "bool": lambda v: isinstance(v, bool),
     "str": lambda v: isinstance(v, str),
-    "int | None": lambda v: v is None or _is_int(v),
     "float | None": lambda v: v is None or _is_real(v),
     "tuple[int, ...]": lambda v: isinstance(v, tuple) and all(map(_is_int, v)),
     "tuple[tuple[str, float], ...]": lambda v: isinstance(v, tuple) and all(
@@ -107,7 +106,6 @@ class ShredConfig:
     seed: int = 0
     koopman_m_max: int = 1
     gru_layers: int = 2
-    gru_hidden: int | None = None      # intermediate width; defaults to latent_dim
     decoder_widths: tuple[int, ...] = (350, 400)
     sindy_loss_weight: float = 1.0
     grad_clip: float | None = None
@@ -157,8 +155,7 @@ class ShredConfig:
         return self.koopman_m_max if self.mode == "koopman" else 1
 
     def hidden_sizes(self) -> list[int]:
-        mid = self.gru_hidden if self.gru_hidden is not None else self.latent_dim
-        return [mid] * (self.gru_layers - 1) + [self.latent_dim]
+        return [self.latent_dim] * self.gru_layers
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -170,11 +167,15 @@ class ShredConfig:
     def from_dict(d: dict) -> "ShredConfig":
         if not isinstance(d, dict):
             raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
-        known = {f for f in ShredConfig.__dataclass_fields__}
-        unknown = set(d) - known
+        kwargs = dict(d)
+        # Configs and checkpoints from before the GRU had one width carry
+        # "gru_hidden": null.
+        if kwargs.pop("gru_hidden", None) is not None:
+            raise ConfigError(f"gru_hidden must be null (every GRU layer is latent_dim "
+                              f"wide), got {d['gru_hidden']!r}")
+        unknown = set(kwargs) - set(ShredConfig.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(d)
         for key in ("trig", "decoder_widths"):
             if isinstance(kwargs.get(key), list):
                 kwargs[key] = tuple(tuple(v) if isinstance(v, list) else v for v in kwargs[key])
@@ -511,7 +512,8 @@ def train(dataset: WindowedDataset, config: ShredConfig,
                     warnings.warn("every ensemble member pruned to the null model; "
                                   "continuing with reconstruction loss only", stacklevel=2)
                     dynamics_enabled = False
-                if config.refit_on_prune and dynamics_enabled:
+                # The refit after the loop serves the final epoch's event.
+                if config.refit_on_prune and dynamics_enabled and epoch < config.epochs:
                     _refit(model, dataset)
             else:
                 record["nnz"] = [int(m.sum()) for m in model.masks]
@@ -599,9 +601,12 @@ def _read_sections(raw: bytes, off: int) -> dict[str, np.ndarray]:
             off += name_len
             (ndims,) = struct.unpack_from("<B", raw, off)
             off += 1
-            dims = struct.unpack_from(f"<{ndims}Q", raw, off) if ndims else ()
+            if ndims > 64:
+                raise CheckpointError(f"section {name!r}: {ndims} dimensions; "
+                                      f"numpy arrays have at most 64")
+            dims = struct.unpack_from(f"<{ndims}Q", raw, off)
             off += 8 * ndims
-            count = int(np.prod(dims)) if dims else 1
+            count = math.prod(dims)
             payload = raw[off:off + 8 * count]
             if len(payload) < 8 * count:
                 raise CheckpointError(f"section {name!r}: truncated payload")

@@ -1,6 +1,5 @@
 """End-to-end command wiring, exit codes, and manifest reproducibility."""
 
-import argparse
 import importlib.metadata
 import json
 import os
@@ -276,6 +275,19 @@ def test_forecast_held_out_overlap_exit_2(modal_dir, trained_dir, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("index", [36, 999, -3])
+def test_forecast_held_out_outside_field_exit_2(modal_dir, trained_dir, tmp_path, capsys,
+                                                 index):
+    held = tmp_path / "held.txt"
+    held.write_text(f"35\n{index}\n")
+    code = main(["forecast", "--checkpoint", str(trained_dir / "model.shrd"),
+                 "--field", str(modal_dir / "field.fld"), "--horizon", "10",
+                 "--held-out-sensors", str(held), "--out", str(tmp_path)])
+    assert code == 2
+    assert f"held-out sensor {index} " in capsys.readouterr().err
+    assert not (tmp_path / "traces.csv").exists()
+
+
 def test_forecast_missing_checkpoint_exit_2(modal_dir, tmp_path):
     code = main(["forecast", "--checkpoint", str(tmp_path / "missing.shrd"),
                  "--field", str(modal_dir / "field.fld"), "--horizon", "5",
@@ -306,6 +318,49 @@ def test_forecast_checkpoint_header_without_key_exit_2(modal_dir, trained_dir, t
                  "--horizon", "5", "--out", str(tmp_path)])
     assert code == 2
     assert key in capsys.readouterr().err
+
+
+def _first_section_header(blob: bytes) -> range:
+    """Byte offsets of the first section's name length, name, ndims and dims."""
+    start = 12 + int.from_bytes(blob[8:12], "little")
+    name_len = int.from_bytes(blob[start:start + 2], "little")
+    ndims = blob[start + 2 + name_len]
+    return range(start, start + 2 + name_len + 1 + 8 * ndims)
+
+
+@pytest.mark.parametrize("change", ["0x00", "0xFF", "low bit"])
+def test_checkpoint_section_header_byte_change_exit_2(modal_dir, trained_dir, tmp_path,
+                                                      change):
+    blob = (trained_dir / "model.shrd").read_bytes()
+    ckpt = tmp_path / "flipped.shrd"
+    for off in _first_section_header(blob):
+        new = {"0x00": 0x00, "0xFF": 0xFF, "low bit": blob[off] ^ 1}[change]
+        if new == blob[off]:
+            continue
+        ckpt.write_bytes(blob[:off] + bytes([new]) + blob[off + 1:])
+        with pytest.raises(shred.CheckpointError):
+            shred.load_checkpoint(ckpt)
+        assert main(["forecast", "--checkpoint", str(ckpt), "--field",
+                     str(modal_dir / "field.fld"), "--horizon", "5",
+                     "--out", str(tmp_path)]) == 2, off
+
+
+@pytest.mark.parametrize("value, code", [(None, 0), (4, 2)])
+def test_gru_hidden_loads_only_as_null(modal_dir, trained_dir, tmp_path, capsys, value, code):
+    # Configs and checkpoints written while the field existed carry "gru_hidden": null.
+    blob = (trained_dir / "model.shrd").read_bytes()
+    hlen = int.from_bytes(blob[8:12], "little")
+    header = json.loads(blob[12:12 + hlen])
+    header["config"]["gru_hidden"] = value
+    new = json.dumps(header).encode()
+    ckpt = tmp_path / "gru_hidden.shrd"
+    ckpt.write_bytes(blob[:8] + len(new).to_bytes(4, "little") + new + blob[12 + hlen:])
+    assert main(["forecast", "--checkpoint", str(ckpt), "--field", str(modal_dir / "field.fld"),
+                 "--horizon", "5", "--out", str(tmp_path)]) == code
+    cfg_path = _run_config(modal_dir, tmp_path / "run", epochs=1, gru_hidden=value)
+    assert main(["train", str(cfg_path)]) == code
+    if code:
+        assert capsys.readouterr().err.count("gru_hidden") == 2
 
 
 def test_forecast_truncated_field_exit_2(modal_dir, trained_dir, tmp_path):
@@ -519,6 +574,54 @@ def test_validate_theory_thm2_qual_suite(tmp_path):
     assert payload["long"]["gru_mse"] >= payload["short"]["gru_mse"]
 
 
+def test_validate_theory_thm2_qual_short_is_the_thousand_step_run(tmp_path):
+    # Two epochs leave the verdict open; only the short scores are under test.
+    assert main(["validate-theory", "--suite", "thm2-qual", "--gru-epochs", "2",
+                 "--out", str(tmp_path)]) in (0, 4)
+    payload = json.loads((tmp_path / "thm2_qual.json").read_text())
+    short = evaluation.sine_comparison(evaluation.SineComparisonConfig(n_test=1000, gru_epochs=2))
+    assert payload["short"] == short.to_dict()
+
+
+def test_validate_theory_thm2_qual_late_divergence_keeps_short_score(tmp_path, monkeypatch):
+    cell = sindy.sindy_cell
+    frames = []
+
+    def diverging_cell(z, model):
+        frames.append(len(frames) + 1)
+        if frames[-1] >= 1500:
+            raise sindy.RolloutDivergenceError(0, "Euler sub-step")
+        return cell(z, model)
+
+    monkeypatch.setattr(sindy, "sindy_cell", diverging_cell)
+    code = main(["validate-theory", "--suite", "thm2-qual", "--gru-epochs", "1",
+                 "--out", str(tmp_path)])
+    payload = _strict_json((tmp_path / "thm2_qual.json").read_text())
+    assert payload["short"]["sindy_mse"] < 1e-2
+    assert payload["long"]["sindy_mse"] is None
+    assert code == 4
+
+
+@pytest.mark.parametrize("suite", ["sine", "thm2-qual"])
+@pytest.mark.parametrize("epochs", ["0", "-1"])
+def test_validate_theory_gru_epochs_below_one_exit_2(tmp_path, capsys, suite, epochs):
+    assert main(["validate-theory", "--suite", suite, "--gru-epochs", epochs,
+                 "--out", str(tmp_path)]) == 2
+    assert "--gru-epochs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["forecast", "--checkpoint", "m.shrd", "--field", "f.fld", "--horizon", "5",
+     "--window", "0:100"],
+    ["landscape", "--checkpoint", "m.shrd", "--field", "f.fld", "--seg", "4"],
+    ["validate-theory", "--suite", "sine", "--gru", "3"],
+])
+def test_abbreviated_flag_exit_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_console_entry_point_help():
     """The `[project.scripts]` target prints the top-level help and exits 0.
 
@@ -575,10 +678,6 @@ def _readme_blocks() -> list[list[str]]:
 
 def test_readme_commands_parse():
     parser = cli.build_parser()
-    # Exact flags only: an abbreviation parses today, but not once a longer flag shares it.
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for sub in subparsers.choices.values():
-        sub.allow_abbrev = False
     commands = [shlex.split(line, comments=True)
                 for block in _readme_blocks() for line in block if line.startswith("shredkit ")]
     failed = []

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from shredkit import data, evaluation, shred, sindy
+from shredkit import cli, data, evaluation, shred, sindy
 from shredkit.diffcore import Tensor
 from shredkit.evaluation import (SineComparisonConfig, convexity_check, forecast,
                                  horizon_mse, landscape_scan, latent_frequencies,
-                                 segment_pass_fraction, sensor_traces)
+                                 sensor_traces)
 
 
 def _trained_tiny_model(epochs=3, mode="sindy"):
@@ -351,10 +351,30 @@ def test_convexity_default_tolerance_absorbs_float_noise():
     assert ok
 
 
-def test_segment_pass_fraction():
+def _pass_fraction_per_segment(segs: np.ndarray, tolerance: float) -> float:
+    """Reference: the share of segments that convexity_check passes one at a time."""
+    return sum(convexity_check(segs[s:s + 1], tolerance)[0] for s in range(len(segs))) / len(segs)
+
+
+def test_segment_pass_fraction(tmp_path, monkeypatch):
+    # `landscape` derives the fraction from the segments in its one violation list.
+    model, ds, fld, sensors = _trained_tiny_model()
+    model.extra = {"sensors": list(sensors.indices)}
+    shred.save_checkpoint(model, model.optimizer, 3, tmp_path / "model.shrd")
+    data.save_field(fld, tmp_path / "field.fld")
     t = np.linspace(-1, 1, 9)
-    segs = np.stack([t ** 2, -(t ** 2)])
-    assert segment_pass_fraction(segs) == 0.5
+    rng = np.random.default_rng(5)
+    bumpy = t ** 2 + rng.uniform(0.0, 0.1, (40, 1)) * rng.standard_normal((40, 9))
+    for segs, expected in [(np.stack([t ** 2, -(t ** 2)]), 0.5), (bumpy, None)]:
+        monkeypatch.setattr(evaluation, "landscape_segments", lambda *a, **k: segs)
+        assert cli.main(["landscape", "--checkpoint", str(tmp_path / "model.shrd"),
+                         "--field", str(tmp_path / "field.fld"), "--grid", "3",
+                         "--out", str(tmp_path)]) == 0
+        frac = json.loads((tmp_path / "convexity.json").read_text())["segment_pass_fraction"]
+        assert frac == _pass_fraction_per_segment(segs, 1e-7)
+        assert 0.0 < frac < 1.0
+        if expected is not None:
+            assert frac == expected
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -254,6 +255,18 @@ def test_train_rejects_invalid_config():
         shred.train(ds, _tiny_config(dropout=1.0))
 
 
+@pytest.mark.parametrize("epochs", [4, 5])
+def test_refit_once_per_prune_event_and_once_at_the_end(monkeypatch, epochs):
+    refit = shred._refit
+    calls = []
+    monkeypatch.setattr(shred, "_refit", lambda model, ds: calls.append(1) or refit(model, ds))
+    _, log = shred.train(_tiny_dataset(), _tiny_config(epochs=epochs, refit_on_prune=True))
+    events = [r["epoch"] for r in log if r.get("pruned")]
+    assert events == [2, 4] and all(any(r["nnz"]) for r in log)
+    # The refit after the loop serves a prune event at the final epoch too.
+    assert len(calls) == sum(e < epochs for e in events) + 1
+
+
 _INT_FIELDS = ["lag", "latent_dim", "epochs", "batch_size", "ministeps", "threshold_interval",
                "ensemble_size", "poly_degree", "seed", "koopman_m_max", "gru_layers",
                "warmup_epochs", "gru_hidden"]
@@ -497,6 +510,15 @@ def test_checkpoint_section_name_not_utf8_names_offset(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(shred.CheckpointError, match=f"section at byte {start}: name is not UTF-8"):
         shred.load_checkpoint(path)
+
+
+def test_checkpoint_section_beyond_numpy_dimensions_raises():
+    # Sixty-five unit dims hold one value, so only the dimension count is wrong.
+    payload = struct.pack("<d", 1.0)
+    raw = (struct.pack("<H", 1) + b"x" + struct.pack("<B", 65) + struct.pack("<65Q", *[1] * 65)
+           + payload + struct.pack("<I", zlib.crc32(b"x" + payload)))
+    with pytest.raises(shred.CheckpointError, match="65 dimensions"):
+        shred._read_sections(raw, 0)
 
 
 def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
