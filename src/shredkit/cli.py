@@ -258,6 +258,8 @@ def cmd_forecast(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_landscape(args) -> int:
+    if args.segments < 1:
+        raise UsageError(f"--segments must be >= 1, got {args.segments}")
     model, _, _ = shred.load_checkpoint(args.checkpoint)
     fld, sensors = _checkpoint_field(model, args.field)
     dataset = data.make_windows(fld, data.SensorSet(indices=tuple(sensors), seed=-1),

@@ -109,22 +109,37 @@ class LibrarySpec:
 
 
 def evaluate_library(Z: np.ndarray, spec: LibrarySpec) -> np.ndarray:
-    """Evaluate all candidate functions on states Z of shape (n, d) -> (n, p)."""
+    """Evaluate all candidate functions on states Z of shape (n, d) -> (n, p).
+
+    Every term is written in place into its column of one C-contiguous (n, p)
+    array: the constant is 1.0, the degree-1 block (the first d monomials) is
+    a copy of Z, a higher monomial multiplies its factors in index order, and
+    each trig entry fills its d columns at once. Each monomial is therefore
+    bit-identical to ``1.0 * z_a * z_b * ...`` evaluated left to right.
+    """
     Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
-    if Z.shape[1] != spec.dim:
-        raise DimensionMismatchError(f"state dim {Z.shape[1]} != library dim {spec.dim}")
-    cols = []
+    n, d = Z.shape
+    if d != spec.dim:
+        raise DimensionMismatchError(f"state dim {d} != library dim {spec.dim}")
+    out = np.empty((n, spec.term_count))
+    c = 0
     if spec.include_constant:
-        cols.append(np.ones((Z.shape[0], 1)))
-    for mono in spec.monomials():
-        col = np.ones(Z.shape[0])
-        for j in mono:
-            col = col * Z[:, j]
-        cols.append(col[:, None])
+        out[:, 0] = 1.0
+        c = 1
+    if spec.poly_degree >= 1:
+        out[:, c:c + d] = Z
+        c += d
+    for mono in spec.monomials()[d:]:
+        col = out[:, c]
+        np.multiply(Z[:, mono[0]], Z[:, mono[1]], out=col)
+        for j in mono[2:]:
+            col *= Z[:, j]
+        c += 1
     for kind, freq in spec.trig:
         fn = np.sin if kind == "sin" else np.cos
-        cols.append(fn(freq * Z))
-    return np.concatenate(cols, axis=1)
+        fn(freq * Z, out=out[:, c:c + d])
+        c += d
+    return out
 
 
 def library_features(z: Tensor, spec: LibrarySpec) -> Tensor:
@@ -209,11 +224,9 @@ def _solve_ridge(theta: np.ndarray, rhs: np.ndarray, ridge: float) -> np.ndarray
         gram = theta.T @ theta + ridge * np.eye(theta.shape[1])
         return np.linalg.solve(gram, theta.T @ rhs)
     # Unregularized route must be well posed.
-    if theta.shape[1] > 0:
-        cond = np.linalg.cond(theta.T @ theta)
-        if not np.isfinite(cond) or cond > 1e12:
-            raise ConditioningError(
-                "singular normal equations with ridge=0; pass ridge > 0")
+    cond = np.linalg.cond(theta.T @ theta)
+    if not np.isfinite(cond) or cond > 1e12:
+        raise ConditioningError("singular normal equations with ridge=0; pass ridge > 0")
     sol, *_ = np.linalg.lstsq(theta, rhs, rcond=None)
     return sol
 
@@ -244,18 +257,28 @@ def fit_stlsq(Z: np.ndarray, dZ: np.ndarray, spec: LibrarySpec, threshold: float
 
 def _stlsq(theta: np.ndarray, dZ: np.ndarray, threshold: float, iters: int,
            ridge: float) -> tuple[np.ndarray, np.ndarray]:
-    """``fit_stlsq``'s (Xi, mask) from an already evaluated (n, p) library ``theta``."""
+    """``fit_stlsq``'s (Xi, mask) from an already evaluated (n, p) library ``theta``.
+
+    Every column starts on the full support, so the first round is one solve
+    with all of ``dZ`` as right-hand sides: one condition check and one
+    factorization of ``theta``. Later rounds solve column by column on each
+    column's own support.
+    """
     p, d = theta.shape[1], dZ.shape[1]
     Xi = np.zeros((p, d))
     mask = np.ones((p, d), dtype=bool)
+    if p == 0:
+        return Xi, mask
+    first = _solve_ridge(theta, dZ, ridge)
     for j in range(d):
         active = mask[:, j]
+        coef = first[:, j]
         settled = None   # the solve on ``active`` when it kept every term
-        for _ in range(max(1, iters)):
-            if not active.any():
-                break
-            # A full support solves on theta itself, not on an indexed copy.
-            coef = _solve_ridge(theta if active.all() else theta[:, active], dZ[:, j], ridge)
+        for round_ in range(max(1, iters)):
+            if round_:
+                if not active.any():
+                    break
+                coef = _solve_ridge(theta[:, active], dZ[:, j], ridge)
             keep = np.abs(coef) >= threshold
             if keep.all():
                 settled = coef
@@ -264,7 +287,6 @@ def _stlsq(theta: np.ndarray, dZ: np.ndarray, threshold: float, iters: int,
             new_active[active] = keep
             active = new_active
         mask[:, j] = active
-        Xi[:, j] = 0.0
         if ridge == 0 and settled is not None:
             # That solve was already the ridge-free lstsq on the final support.
             Xi[active, j] = settled

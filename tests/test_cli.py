@@ -461,6 +461,18 @@ def test_landscape_invalid_grid_exit_2(modal_dir, trained_dir, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("segments", ["0", "-1"])
+def test_landscape_segments_below_one_exit_2(modal_dir, trained_dir, tmp_path, capsys,
+                                              segments):
+    code = main(["landscape", "--checkpoint", str(trained_dir / "model.shrd"),
+                 "--field", str(modal_dir / "field.fld"), "--grid", "3",
+                 "--segments", segments, "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --segments must be >= 1, got {segments}"]
+    assert not (tmp_path / "landscape.csv").exists()
+
+
 def _run_with_extra(modal_dir, trained_dir, tmp_path, command, key, value) -> int:
     """Run ``command`` on the trained checkpoint with ``extra[key]`` set (None deletes it)."""
     blob = (trained_dir / "model.shrd").read_bytes()

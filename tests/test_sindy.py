@@ -79,6 +79,37 @@ def test_threshold_prune_idempotent_property(seed, threshold):
     assert np.all(once.Xi[~once.mask] == 0.0)
 
 
+def _naive_library(Z, spec):
+    """The library as separate columns: 1.0 times each factor in turn, then concatenated."""
+    cols = []
+    if spec.include_constant:
+        cols.append(np.ones((Z.shape[0], 1)))
+    for mono in spec.monomials():
+        col = np.ones(Z.shape[0])
+        for j in mono:
+            col = col * Z[:, j]
+        cols.append(col[:, None])
+    for kind, freq in spec.trig:
+        cols.append((np.sin if kind == "sin" else np.cos)(freq * Z))
+    return np.concatenate(cols, axis=1) if cols else np.empty((Z.shape[0], 0))
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_library_bit_identical_to_naive_columns(dim, degree):
+    rng = np.random.default_rng(10 * dim + degree)
+    for constant in (True, False):
+        for trig in ((), (("sin", 1.0), ("cos", 0.5), ("sin", 3.0))):
+            spec = LibrarySpec(dim=dim, poly_degree=degree, include_constant=constant,
+                               trig=trig)
+            for n in (1, 7, 1000):
+                Z = 2.0 * rng.standard_normal((n, dim))
+                out = sindy.evaluate_library(Z, spec)
+                assert out.shape == (n, spec.term_count)
+                assert out.dtype == np.float64 and out.flags.c_contiguous
+                assert np.array_equal(out, _naive_library(Z, spec))
+
+
 def test_library_features_matches_numpy_route():
     spec = LibrarySpec(dim=3, poly_degree=3, trig=(("sin", 1.0), ("cos", 0.5)))
     rng = np.random.default_rng(0)
@@ -185,6 +216,78 @@ def test_stlsq_conditioning_error_without_ridge():
     dZ = np.stack([-np.sin(t), np.cos(t)], axis=1)
     with pytest.raises(sindy.ConditioningError, match="ridge"):
         sindy.fit_stlsq(Z, dZ, spec, threshold=0.0, iters=1, ridge=0.0)
+
+
+def _stlsq_per_column(theta, dZ, threshold, iters, ridge):
+    """STLSQ solving every round, the first included, one target column at a time."""
+    p, d = theta.shape[1], dZ.shape[1]
+    Xi = np.zeros((p, d))
+    mask = np.ones((p, d), dtype=bool)
+    for j in range(d):
+        active = np.ones(p, dtype=bool)
+        settled = None
+        for _ in range(max(1, iters)):
+            if not active.any():
+                break
+            coef = sindy._solve_ridge(theta[:, active], dZ[:, j], ridge)
+            keep = np.abs(coef) >= threshold
+            if keep.all():
+                settled = coef
+                break
+            new_active = active.copy()
+            new_active[active] = keep
+            active = new_active
+        mask[:, j] = active
+        if ridge == 0 and settled is not None:
+            Xi[active, j] = settled
+        elif active.any():
+            Xi[active, j] = np.linalg.lstsq(theta[:, active], dZ[:, j], rcond=None)[0]
+    return Xi, mask
+
+
+@pytest.mark.parametrize("dense", [True, False])
+@pytest.mark.parametrize("ridge", [0.0, 1e-6])
+@pytest.mark.parametrize("iters", [1, 20])
+def test_stlsq_joint_first_solve_matches_per_column(iters, ridge, dense):
+    spec = LibrarySpec(dim=3, poly_degree=2)
+    rng = np.random.default_rng(12)
+    Z = rng.uniform(-1, 1, (500, 3))
+    theta = sindy.evaluate_library(Z, spec)
+    if dense:
+        # Every coefficient is far above the threshold, so the first round keeps all terms.
+        shape = (spec.term_count, 3)
+        xi = rng.choice([-1.0, 1.0], size=shape) * rng.uniform(0.5, 2.0, shape)
+    else:
+        xi = np.zeros((spec.term_count, 3))
+        xi[spec.linear_slice, :] = [[-0.1, 1.0, 0.0], [-1.0, -0.1, 0.0], [0.0, 0.0, -0.5]]
+        xi[4, 2] = 0.8
+    dZ = theta @ xi + 0.01 * rng.standard_normal((500, 3))
+    Xi, mask = sindy._stlsq(theta, dZ, threshold=0.1, iters=iters, ridge=ridge)
+    ref_Xi, ref_mask = _stlsq_per_column(theta, dZ, threshold=0.1, iters=iters, ridge=ridge)
+    assert np.array_equal(mask, ref_mask)
+    assert mask.all() == dense
+    assert np.all(np.abs(Xi - ref_Xi) <= 1e-12 * np.abs(ref_Xi))
+
+
+def test_stlsq_joint_first_solve_rank_deficient_raises():
+    # A duplicated column makes theta rank-deficient for every target column at once.
+    rng = np.random.default_rng(13)
+    theta = rng.standard_normal((50, 3))
+    theta = np.concatenate([theta, theta[:, :1]], axis=1)
+    with pytest.raises(sindy.ConditioningError, match="ridge"):
+        sindy._stlsq(theta, rng.standard_normal((50, 2)), threshold=0.1, iters=5, ridge=0.0)
+
+
+def test_stlsq_zero_term_library_skips_solver(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver called on an empty library")
+
+    monkeypatch.setattr(sindy, "_solve_ridge", no_solve)
+    monkeypatch.setattr(np.linalg, "lstsq", no_solve)
+    spec = LibrarySpec(dim=2, poly_degree=0, include_constant=False)
+    Z = np.random.default_rng(14).standard_normal((10, 2))
+    model = sindy.fit_stlsq(Z, Z, spec, threshold=0.1, ridge=0.0)
+    assert model.Xi.shape == (0, 2) and model.mask.shape == (0, 2)
 
 
 def test_stlsq_warns_when_underdetermined():
