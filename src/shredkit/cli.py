@@ -260,6 +260,10 @@ def cmd_forecast(args) -> int:
 def cmd_landscape(args) -> int:
     if args.segments < 1:
         raise UsageError(f"--segments must be >= 1, got {args.segments}")
+    if not 0 <= args.alpha < math.inf:
+        raise UsageError(f"--alpha must be finite and >= 0, got {args.alpha}")
+    if not 0 <= args.tolerance < math.inf:
+        raise UsageError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     model, _, _ = shred.load_checkpoint(args.checkpoint)
     fld, sensors = _checkpoint_field(model, args.field)
     dataset = data.make_windows(fld, data.SensorSet(indices=tuple(sensors), seed=-1),

@@ -201,6 +201,8 @@ def _perturbed_losses(model: ShredModel, loss_fn, alpha: float, seeds: tuple[int
     the same arithmetic wherever it runs. The model's parameters are restored
     exactly afterwards (pool workers perturb only their own copies).
     """
+    if not 0 <= alpha < math.inf:
+        raise EvaluationError(f"alpha must be finite and >= 0, got {alpha}")
     params = model.named_parameters()
     base = {name: p.data.copy() for name, p in params.items()}
     rx = _directions(params, seeds[0])
@@ -236,15 +238,14 @@ def landscape_scan(model: ShredModel, loss_fn, alpha: float, grid_n: int,
     """
     if grid_n < 3 or grid_n % 2 == 0:
         raise EvaluationError("grid size must be odd and >= 3")
-    if alpha < 0:
-        raise EvaluationError("alpha must be >= 0")
     ts = np.linspace(-1.0, 1.0, grid_n)
-    base_loss = float(loss_fn())
     tx, ty = np.meshgrid(ts, ts, indexing="ij")
     moved = (tx != 0.0) | (ty != 0.0)   # the center is the base loss, unperturbed
-    values = np.full((grid_n, grid_n), base_loss)
+    values = np.empty((grid_n, grid_n))
     values[moved] = _perturbed_losses(model, loss_fn, alpha, seeds,
                                       np.stack([tx[moved], ty[moved]], axis=1))
+    base_loss = float(loss_fn())
+    values[~moved] = base_loss
     return LandscapeGrid(alpha=alpha, seeds=tuple(seeds), ts=ts, values=values,
                          base_loss=base_loss)
 
@@ -255,16 +256,21 @@ def landscape_segments(model: ShredModel, loss_fn, alpha: float, seeds: tuple[in
 
     Segments move from the unperturbed parameters outward to uniformly drawn
     points of the alpha-scaled 2-direction plane, sampled at uniform fractions;
-    convexity checking runs on these collinear values.
+    convexity checking runs on these collinear values. Every segment starts at
+    the unperturbed model, so the fraction-0 column is one ``loss_fn()`` call.
     """
     if n_points < 3:
         raise EvaluationError("segments need at least 3 samples")
     rng = np.random.default_rng(seed)
     ends = rng.uniform(-1.0, 1.0, size=(n_segments, 2))
-    fractions = np.linspace(0.0, 1.0, n_points)
+    fractions = np.linspace(0.0, 1.0, n_points)[1:]
     points = fractions[None, :, None] * ends[:, None, :]   # (segment, sample, [t_x, t_y])
-    return _perturbed_losses(model, loss_fn, alpha, seeds,
-                             points.reshape(-1, 2)).reshape(n_segments, n_points)
+    out = np.empty((n_segments, n_points))
+    out[:, 1:] = _perturbed_losses(model, loss_fn, alpha, seeds,
+                                   points.reshape(-1, 2)).reshape(n_segments, n_points - 1)
+    base = loss_fn()
+    out[:, 0] = base if np.isfinite(base) else np.inf
+    return out
 
 
 def convexity_check(segments: np.ndarray, tolerance: float = 1e-7) -> tuple[bool, list[tuple]]:
@@ -272,19 +278,26 @@ def convexity_check(segments: np.ndarray, tolerance: float = 1e-7) -> tuple[bool
 
     ``segments`` is (n_segments, n_points) of losses at uniformly spaced
     collinear points. Returns overall pass/fail plus the violation list
-    (segment, i, j, excess).
+    (segment, i, j, excess). A triple with a non-finite sample cannot be
+    checked and counts as a violation with excess +inf.
     """
+    if not 0 <= tolerance < math.inf:
+        raise EvaluationError(f"tolerance must be finite and >= 0, got {tolerance}")
     segments = np.atleast_2d(np.asarray(segments, dtype=np.float64))
     if segments.shape[1] < 3:
         raise EvaluationError("need >= 3 collinear samples per segment")
     violations = []
     for s in range(segments.shape[0]):
         f = segments[s]
+        finite = np.isfinite(f)
         m = f.size
         for i in range(m - 2):
             for j in range(i + 2, m, 2):
                 mid = (i + j) // 2
-                excess = f[mid] - 0.5 * (f[i] + f[j]) - tolerance
+                if finite[i] and finite[mid] and finite[j]:
+                    excess = f[mid] - 0.5 * (f[i] + f[j]) - tolerance
+                else:
+                    excess = math.inf
                 if excess > 0:
                     violations.append((s, i, j, float(excess)))
     return len(violations) == 0, violations
@@ -363,7 +376,9 @@ def _rollout_errors(Xis: np.ndarray, horizon: float) -> list[float]:
     dt = 0.01
 
     def deriv(Z: np.ndarray) -> np.ndarray:
-        return np.matmul(sindy.evaluate_library(Z, spec)[:, None, :], Xis)[:, 0, :]
+        # Row-major, so each stacked product sums as a one-model run does.
+        theta = np.ascontiguousarray(sindy.evaluate_library(Z, spec))
+        return np.matmul(theta[:, None, :], Xis)[:, 0, :]
 
     final = _rk4(deriv, np.tile(x0, (Xis.shape[0], 1)), dt, int(round(horizon / dt)))[-1]
     return [float(np.linalg.norm(z - truth)) for z in final]

@@ -317,7 +317,8 @@ def _initial_xi_estimate(model: ShredModel, dataset: WindowedDataset) -> None:
     if latents is None:
         return
     dZ = sindy.finite_differences(latents, model.config.dt)
-    theta = sindy.evaluate_library(latents, model.spec)
+    # Row-major, so the column sums and products below keep their rounding.
+    theta = np.ascontiguousarray(sindy.evaluate_library(latents, model.spec))
     ridge = max(1e-3 * float(np.mean(np.sum(theta * theta, axis=0))), 1e-9)
     gram = theta.T @ theta + ridge * np.eye(theta.shape[1])
     try:

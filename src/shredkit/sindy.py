@@ -111,25 +111,27 @@ class LibrarySpec:
 def evaluate_library(Z: np.ndarray, spec: LibrarySpec) -> np.ndarray:
     """Evaluate all candidate functions on states Z of shape (n, d) -> (n, p).
 
-    Every term is written in place into its column of one C-contiguous (n, p)
-    array: the constant is 1.0, the degree-1 block (the first d monomials) is
-    a copy of Z, a higher monomial multiplies its factors in index order, and
+    Every term is written in place into its column of one column-major (n, p)
+    array, so each write is contiguous and LAPACK takes the array without a
+    copy. The constant is 1.0, the degree-1 block (the first d monomials) is a
+    copy of Z, a higher monomial multiplies its factors in index order, and
     each trig entry fills its d columns at once. Each monomial is therefore
-    bit-identical to ``1.0 * z_a * z_b * ...`` evaluated left to right.
+    bit-identical to ``1.0 * z_a * z_b * ...`` evaluated left to right. A
+    single row is both C- and F-contiguous.
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
     n, d = Z.shape
     if d != spec.dim:
         raise DimensionMismatchError(f"state dim {d} != library dim {spec.dim}")
-    out = np.empty((n, spec.term_count))
-    c = 0
-    if spec.include_constant:
+    monomials = spec.monomials()
+    c = 1 if spec.include_constant else 0
+    out = np.empty((n, c + len(monomials) + d * len(spec.trig)), order="F")
+    if c:
         out[:, 0] = 1.0
-        c = 1
     if spec.poly_degree >= 1:
         out[:, c:c + d] = Z
         c += d
-    for mono in spec.monomials()[d:]:
+    for mono in monomials[d:]:
         col = out[:, c]
         np.multiply(Z[:, mono[0]], Z[:, mono[1]], out=col)
         for j in mono[2:]:
@@ -220,14 +222,21 @@ def finite_differences(Z: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _solve_ridge(theta: np.ndarray, rhs: np.ndarray, ridge: float) -> np.ndarray:
+    """Least-squares coefficients of ``rhs`` on ``theta``, ridge-regularized if ridge > 0.
+
+    The ridge-free route must be well posed: it raises ConditioningError when
+    cond(theta^T theta) exceeds 1e12. That condition number is (s_max / s_min)^2
+    over the singular values the ``lstsq`` solve already returns; with fewer
+    rows than columns theta^T theta is singular.
+    """
     if ridge > 0:
         gram = theta.T @ theta + ridge * np.eye(theta.shape[1])
         return np.linalg.solve(gram, theta.T @ rhs)
-    # Unregularized route must be well posed.
-    cond = np.linalg.cond(theta.T @ theta)
+    sol, _, _, s = np.linalg.lstsq(theta, rhs, rcond=None)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cond = (s[0] / s[-1]) ** 2 if s.size == theta.shape[1] else np.inf
     if not np.isfinite(cond) or cond > 1e12:
         raise ConditioningError("singular normal equations with ridge=0; pass ridge > 0")
-    sol, *_ = np.linalg.lstsq(theta, rhs, rcond=None)
     return sol
 
 
@@ -260,9 +269,9 @@ def _stlsq(theta: np.ndarray, dZ: np.ndarray, threshold: float, iters: int,
     """``fit_stlsq``'s (Xi, mask) from an already evaluated (n, p) library ``theta``.
 
     Every column starts on the full support, so the first round is one solve
-    with all of ``dZ`` as right-hand sides: one condition check and one
-    factorization of ``theta``. Later rounds solve column by column on each
-    column's own support.
+    with all of ``dZ`` as right-hand sides: one factorization of ``theta``,
+    whose singular values also give the ridge-free condition check. Later
+    rounds solve column by column on each column's own support.
     """
     p, d = theta.shape[1], dZ.shape[1]
     Xi = np.zeros((p, d))

@@ -473,6 +473,37 @@ def test_landscape_segments_below_one_exit_2(modal_dir, trained_dir, tmp_path, c
     assert not (tmp_path / "landscape.csv").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--alpha", "nan"), ("--alpha", "inf"),
+                                         ("--alpha", "-inf"), ("--alpha", "-0.5"),
+                                         ("--tolerance", "nan"), ("--tolerance", "inf"),
+                                         ("--tolerance", "-1")])
+def test_landscape_unusable_alpha_or_tolerance_exit_2(tmp_path, capsys, flag, value):
+    # The checkpoint does not exist: the flag is rejected before anything loads.
+    code = main(["landscape", "--checkpoint", str(tmp_path / "missing.shrd"),
+                 "--field", str(tmp_path / "missing.fld"), "--grid", "3",
+                 f"{flag}={value}", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {flag} must be finite and >= 0, got {float(value)}"]
+    assert not (tmp_path / "landscape.csv").exists()
+
+
+def test_landscape_alpha_overflowing_every_cell_is_not_convex(modal_dir, trained_dir,
+                                                              tmp_path):
+    # A finite alpha this large makes every perturbed loss +inf; no segment can pass.
+    code = main(["landscape", "--checkpoint", str(trained_dir / "model.shrd"),
+                 "--field", str(modal_dir / "field.fld"), "--alpha", "1e308",
+                 "--grid", "3", "--segments", "3", "--out", str(tmp_path)])
+    assert code == 0
+    text = (tmp_path / "convexity.json").read_text()
+    verdict = json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} in convexity.json"))
+    assert verdict["convex"] is False and verdict["segment_pass_fraction"] == 0.0
+    cells = [float(r.split(",")[2])
+             for r in (tmp_path / "landscape.csv").read_text().splitlines()[1:]]
+    assert cells[4] == verdict["base_loss"] and np.isfinite(cells[4])
+    assert all(v == np.inf for i, v in enumerate(cells) if i != 4)
+
+
 def _run_with_extra(modal_dir, trained_dir, tmp_path, command, key, value) -> int:
     """Run ``command`` on the trained checkpoint with ``extra[key]`` set (None deletes it)."""
     blob = (trained_dir / "model.shrd").read_bytes()

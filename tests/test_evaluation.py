@@ -296,6 +296,39 @@ def test_pooled_landscape_leaves_parent_parameters_untouched(monkeypatch):
         assert np.array_equal(p.data, before[k][1])
 
 
+def test_landscape_segments_evaluate_the_center_once(monkeypatch):
+    monkeypatch.setenv("SHRED_THREADS", "1")   # every loss_fn call runs in this process
+    model, ds, _, _ = _trained_tiny_model()
+    base_fn = evaluation.batch_loss_fn(model, ds)
+    calls = []
+
+    def counted():
+        calls.append(None)
+        return base_fn()
+
+    n_segments, n_points, alpha, seeds = 6, 5, 0.5, (4, 9)
+    segs = evaluation.landscape_segments(model, counted, alpha, seeds, n_segments=n_segments,
+                                         n_points=n_points, seed=2)
+    assert len(calls) == n_segments * (n_points - 1) + 1
+    # Every sample, the fraction-0 ones included, through the perturbed-loss path.
+    ends = np.random.default_rng(2).uniform(-1.0, 1.0, size=(n_segments, 2))
+    points = np.linspace(0.0, 1.0, n_points)[None, :, None] * ends[:, None, :]
+    all_points = evaluation._perturbed_losses(model, base_fn, alpha, seeds,
+                                              points.reshape(-1, 2))
+    assert np.array_equal(segs, all_points.reshape(n_segments, n_points))
+    assert np.all(segs[:, 0] == base_fn())
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -0.5])
+def test_landscape_rejects_unusable_alpha(alpha):
+    model, ds, _, _ = _trained_tiny_model()
+    loss_fn = evaluation.batch_loss_fn(model, ds)
+    with pytest.raises(evaluation.EvaluationError, match="alpha"):
+        landscape_scan(model, loss_fn, alpha=alpha, grid_n=3)
+    with pytest.raises(evaluation.EvaluationError, match="alpha"):
+        evaluation.landscape_segments(model, loss_fn, alpha, (0, 1), n_segments=2, n_points=3)
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_landscape_loss_exception_reaches_caller(monkeypatch, workers):
     monkeypatch.setenv("SHRED_THREADS", workers)
@@ -349,6 +382,34 @@ def test_convexity_default_tolerance_absorbs_float_noise():
     vals = t ** 2 + 1e-9 * np.sin(31 * t)
     ok, _ = convexity_check(vals[None, :], tolerance=1e-7)
     assert ok
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("where", [0, 4, 8])
+def test_convexity_check_counts_nonfinite_sample_as_violation(bad, where):
+    t = np.linspace(-1, 1, 9)
+    segs = np.stack([t ** 2, t ** 2])
+    segs[1, where] = bad
+    ok, violations = convexity_check(segs)
+    assert not ok
+    assert {v[0] for v in violations} == {1}
+    assert all(v[3] == np.inf and where in (v[1], (v[1] + v[2]) // 2, v[2])
+               for v in violations)
+    # Every triple through the bad sample is a violation.
+    assert len(violations) == sum(where in (i, (i + j) // 2, j)
+                                  for i in range(7) for j in range(i + 2, 9, 2))
+
+
+def test_convexity_check_all_inf_segment_is_not_convex():
+    ok, _ = convexity_check(np.full((1, 9), np.inf))
+    assert not ok
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])
+def test_convexity_check_rejects_unusable_tolerance(tolerance):
+    t = np.linspace(-1, 1, 9)
+    with pytest.raises(evaluation.EvaluationError, match="tolerance"):
+        convexity_check((t ** 2)[None, :], tolerance=tolerance)
 
 
 def _pass_fraction_per_segment(segs: np.ndarray, tolerance: float) -> float:

@@ -106,7 +106,7 @@ def test_library_bit_identical_to_naive_columns(dim, degree):
                 Z = 2.0 * rng.standard_normal((n, dim))
                 out = sindy.evaluate_library(Z, spec)
                 assert out.shape == (n, spec.term_count)
-                assert out.dtype == np.float64 and out.flags.c_contiguous
+                assert out.dtype == np.float64 and out.flags.f_contiguous
                 assert np.array_equal(out, _naive_library(Z, spec))
 
 
@@ -276,6 +276,56 @@ def test_stlsq_joint_first_solve_rank_deficient_raises():
     theta = np.concatenate([theta, theta[:, :1]], axis=1)
     with pytest.raises(sindy.ConditioningError, match="ridge"):
         sindy._stlsq(theta, rng.standard_normal((50, 2)), threshold=0.1, iters=5, ridge=0.0)
+
+
+def _orthonormal_columns(n, p, seed):
+    return np.linalg.qr(np.random.default_rng(seed).standard_normal((n, p)))[0]
+
+
+@pytest.mark.parametrize("case", ["fewer rows than columns", "duplicated column",
+                                  "cond 1e14"])
+def test_stlsq_ridge_free_ill_conditioned_raises(case):
+    if case == "fewer rows than columns":
+        theta = np.random.default_rng(15).standard_normal((3, 5))
+    elif case == "duplicated column":
+        theta = _orthonormal_columns(40, 4, 16)
+        theta[:, 3] = theta[:, 0]
+    else:
+        # Orthonormal columns, one scaled by 1e-7: cond(theta^T theta) = 1e14.
+        theta = _orthonormal_columns(40, 4, 17)
+        theta[:, 2] *= 1e-7
+        assert np.linalg.cond(theta.T @ theta) == pytest.approx(1e14, rel=1e-3)
+    dZ = np.random.default_rng(18).standard_normal((theta.shape[0], 2))
+    with pytest.raises(sindy.ConditioningError, match="ridge"):
+        sindy._stlsq(theta, dZ, threshold=0.0, iters=1, ridge=0.0)
+
+
+def test_stlsq_ridge_free_passes_at_cond_1e10():
+    theta = _orthonormal_columns(40, 4, 17)
+    theta[:, 2] *= 1e-5
+    assert np.linalg.cond(theta.T @ theta) == pytest.approx(1e10, rel=1e-3)
+    dZ = np.random.default_rng(18).standard_normal((40, 2))
+    Xi, mask = sindy._stlsq(theta, dZ, threshold=0.0, iters=1, ridge=0.0)
+    assert mask.all()
+    assert np.array_equal(Xi, np.linalg.lstsq(theta, dZ, rcond=None)[0])
+
+
+@pytest.mark.parametrize("ridge", [0.0, 1e-6])
+@pytest.mark.parametrize("iters", [1, 20])
+def test_stlsq_same_bits_on_column_and_row_major_theta(iters, ridge):
+    spec = LibrarySpec(dim=3, poly_degree=2)
+    rng = np.random.default_rng(19)
+    Z = rng.uniform(-1, 1, (300, 3))
+    theta = sindy.evaluate_library(Z, spec)
+    xi = np.zeros((spec.term_count, 3))
+    xi[spec.linear_slice, :] = [[-0.1, 1.0, 0.0], [-1.0, -0.1, 0.0], [0.0, 0.0, -0.5]]
+    dZ = theta @ xi + 0.01 * rng.standard_normal((300, 3))
+    row_major = np.ascontiguousarray(theta)
+    assert theta.flags.f_contiguous and not row_major.flags.f_contiguous
+    Xi_f, mask_f = sindy._stlsq(theta, dZ, threshold=0.1, iters=iters, ridge=ridge)
+    Xi_c, mask_c = sindy._stlsq(row_major, dZ, threshold=0.1, iters=iters, ridge=ridge)
+    assert np.array_equal(mask_f, mask_c) and not mask_f.all()
+    assert np.array_equal(Xi_f, Xi_c)
 
 
 def test_stlsq_zero_term_library_skips_solver(monkeypatch):
