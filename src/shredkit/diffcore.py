@@ -6,9 +6,11 @@ reverse sweep. All math is numpy under the hood; tensors of any rank are
 supported, with limited broadcasting (standard numpy rules) on elementwise
 primitives and stacked batching on matmul.
 
-Besides the elementwise, reduction and shape primitives there is one fused
-layer primitive, ``gru_sequence``: a whole GRU layer over all time steps as a
-single tape node with a hand-derived backward through time.
+The primitives are elementwise (add, sub, hadamard, scale, sigmoid, tanh,
+relu), reductions (sum, mean, mse), matmul and shape moves (concat,
+slice_axis, reshape). ``gru_sequence`` fuses a whole GRU layer over all time
+steps into one tape node with a hand-derived backward through time;
+``sindy.library_features`` builds its library node with ``_node`` the same way.
 """
 
 from __future__ import annotations
@@ -225,24 +227,6 @@ def relu(a: Tensor) -> Tensor:
     return _node("relu", out, (a,), backward)
 
 
-def sin(a: Tensor) -> Tensor:
-    out = np.sin(a.data)
-
-    def backward(g):
-        return (g * np.cos(a.data),)
-
-    return _node("sin", out, (a,), backward)
-
-
-def cos(a: Tensor) -> Tensor:
-    out = np.cos(a.data)
-
-    def backward(g):
-        return (g * -np.sin(a.data),)
-
-    return _node("cos", out, (a,), backward)
-
-
 def _sum(a: Tensor) -> Tensor:
     out = np.asarray(a.data.sum())
 
@@ -283,17 +267,6 @@ def scale(a: Tensor, c: float) -> Tensor:
         return (g * c,)
 
     return _node("scale", out, (a,), backward)
-
-
-def power(a: Tensor, n: int) -> Tensor:
-    if n < 1:
-        raise ShapeMismatchError("power: exponent must be a positive integer")
-    out = a.data ** n
-
-    def backward(g):
-        return (g * n * a.data ** (n - 1),)
-
-    return _node("power", out, (a,), backward)
 
 
 def concat(tensors, axis: int = -1) -> Tensor:

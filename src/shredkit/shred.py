@@ -320,9 +320,8 @@ def _initial_xi_estimate(model: ShredModel, dataset: WindowedDataset) -> None:
     # Row-major, so the column sums and products below keep their rounding.
     theta = np.ascontiguousarray(sindy.evaluate_library(latents, model.spec))
     ridge = max(1e-3 * float(np.mean(np.sum(theta * theta, axis=0))), 1e-9)
-    gram = theta.T @ theta + ridge * np.eye(theta.shape[1])
     try:
-        estimate = np.linalg.solve(gram, theta.T @ dZ)
+        estimate = sindy._solve_ridge(theta, dZ, ridge)
     except np.linalg.LinAlgError:
         return
     if float(np.abs(estimate).max()) * model.config.dt > 1.0:
@@ -436,7 +435,9 @@ def train(dataset: WindowedDataset, config: ShredConfig,
     The log records epoch, mean loss terms, per-member active-term counts, and
     wall time. With ``resume_from`` pointing at a checkpoint, training
     continues from the stored epoch and reproduces an uninterrupted run
-    exactly.
+    exactly, with one exception: under ``refit_on_prune`` a run ends with a
+    refit, which its checkpoint keeps, so only a checkpoint saved at a prune
+    epoch resumes exactly. Koopman runs never prune.
     """
     config.validate()
     if dataset.n_windows < 2:
@@ -551,9 +552,9 @@ def select_discovered_model(model: ShredModel,
     latents = np.asarray(latents, dtype=np.float64)
     if latents.ndim != 2 or latents.shape[0] < 2:
         raise SelectionError("need a latent trajectory with at least 2 rows")
+    members = [model.member(i) for i in range(len(model.xi))]
     mses = []
-    for i in range(len(model.xi)):
-        member = model.member(i)
+    for member in members:
         try:
             traj = sindy.rollout(member, latents[0], latents.shape[0] - 1)
             mse = float(np.mean((traj - latents) ** 2))
@@ -567,9 +568,8 @@ def select_discovered_model(model: ShredModel,
         raise SelectionError(f"all ensemble members diverge on validation rollout: {mses}")
     cutoff = best * 1.1
     candidates = [i for i, m in enumerate(mses) if m <= cutoff]
-    chosen = min(candidates, key=lambda i: (model.member(i).nnz, i))
-    member = model.member(chosen)
-    return chosen, member, sindy.equations_text(member)
+    chosen = min(candidates, key=lambda i: (members[i].nnz, i))
+    return chosen, members[chosen], sindy.equations_text(members[chosen])
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Sparse dynamics identification over a polynomial + trig function library.
 
-Covers library evaluation (numpy and differentiable-tensor routes), sequential
-thresholded least squares, the Euler mini-step recurrent cell, ensembles under
-a threshold ladder, the linear (Koopman) restriction, and eigen-analysis of
-discovered linear generators.
+Covers library evaluation (one numpy routine, which the dynamics penalty also
+records as a single differentiable tape node), sequential thresholded least
+squares, the Euler mini-step recurrent cell, ensembles under a threshold
+ladder, the linear (Koopman) restriction, and eigen-analysis of discovered
+linear generators.
 
 Conventions: states are rows, so zdot = theta(z) @ Xi with Xi of shape (p, d);
 column j of Xi gives dz_j/dt. The column-convention generator of a linear
@@ -145,24 +146,39 @@ def evaluate_library(Z: np.ndarray, spec: LibrarySpec) -> np.ndarray:
 
 
 def library_features(z: Tensor, spec: LibrarySpec) -> Tensor:
-    """Differentiable mirror of :func:`evaluate_library`; z has states on the last axis."""
-    if z.shape[-1] != spec.dim:
-        raise DimensionMismatchError(f"state dim {z.shape[-1]} != library dim {spec.dim}")
-    coords = [dc.slice_axis(z, -1, j, j + 1) for j in range(spec.dim)]
-    cols: list[Tensor] = []
-    if spec.include_constant:
-        cols.append(Tensor(np.ones(z.shape[:-1] + (1,))))
-    for mono in spec.monomials():
-        col: Tensor | None = None
-        for j, grp in itertools.groupby(mono):
-            e = len(list(grp))
-            factor = coords[j] if e == 1 else dc.power(coords[j], e)
-            col = factor if col is None else col * factor
-        cols.append(col)
-    for kind, freq in spec.trig:
-        arg = z if freq == 1.0 else z * freq
-        cols.append(dc.sin(arg) if kind == "sin" else dc.cos(arg))
-    return dc.concat(cols, axis=-1)
+    """:func:`evaluate_library` on the states along z's last axis, as one tape node.
+
+    The forward is ``evaluate_library`` itself, copied to row-major order. The
+    backward is the library's Jacobian: a monomial sends its gradient to each
+    factor times the product of the other factors, and a trig term multiplies
+    its gradient by ``freq*cos(freq*z)`` (sin) or ``-freq*sin(freq*z)`` (cos).
+    """
+    d = spec.dim
+    if z.shape[-1] != d:
+        raise DimensionMismatchError(f"state dim {z.shape[-1]} != library dim {d}")
+    Z = z.data.reshape(-1, d)
+    theta = np.ascontiguousarray(evaluate_library(Z, spec))
+
+    def backward(g):
+        G = g.reshape(theta.shape)
+        dZ = np.zeros_like(Z)
+        c = 1 if spec.include_constant else 0
+        for mono in spec.monomials():
+            for i, j in enumerate(mono):
+                term = G[:, c]
+                for other in mono[:i] + mono[i + 1:]:
+                    term = term * Z[:, other]
+                dZ[:, j] += term
+            c += 1
+        for kind, freq in spec.trig:
+            if kind == "sin":
+                dZ += G[:, c:c + d] * (freq * np.cos(freq * Z))
+            else:
+                dZ -= G[:, c:c + d] * (freq * np.sin(freq * Z))
+            c += d
+        return (dZ.reshape(z.shape),)
+
+    return dc._node("library", theta.reshape(z.shape[:-1] + (theta.shape[1],)), (z,), backward)
 
 
 @dataclass
@@ -340,45 +356,27 @@ def rollout(model: SindyModel, z0: np.ndarray, steps: int) -> np.ndarray:
     return out
 
 
-def euler_rollout_features(z0: Tensor, xi_stack: Tensor, spec: LibrarySpec,
-                           dt: float, k: int) -> Tensor:
-    """Differentiable k-mini-step Euler advance.
-
-    ``z0`` is (batch, d) or broadcastable (1, batch, d); ``xi_stack`` is either
-    a (p, d) matrix or a stacked (members, p, d) tensor, in which case the
-    returned state is (members, batch, d) with each member advancing its own
-    trajectory after the shared initial state.
-    """
-    h = dt / k
-    z = z0
-    for _ in range(k):
-        theta = library_features(z, spec)
-        z = z + dc.scale(theta @ xi_stack, h)
-    return z
-
-
 def ensemble_sindy_loss(z_t: Tensor, z_next: Tensor, xi_tensors: list[Tensor],
                         masks: list[np.ndarray], spec: LibrarySpec,
                         dt: float, k: int) -> Tensor:
     """Sum over ensemble members of mean squared one-step rollout error.
 
-    Gradients reach every Xi and both latent endpoints (no stop-gradient), so
-    the encoder and the latent dynamics adapt to each other.
+    Each masked member takes k Euler mini-steps of dt/k from ``z_t``. Gradients
+    reach every Xi and both latent endpoints (no stop-gradient), so the encoder
+    and the latent dynamics adapt to each other.
     """
     if z_t.shape[0] == 0:
         raise DimensionMismatchError("empty batch")
     if not xi_tensors:
         raise DimensionMismatchError("empty ensemble")
-    members = []
-    for xi, mask in zip(xi_tensors, masks):
-        masked = xi * Tensor(mask.astype(np.float64))
-        members.append(masked.reshape(1, *xi.shape))
-    xi_stack = dc.concat(members, axis=0) if len(members) > 1 else members[0]
     b, d = z_t.shape
-    z0 = z_t.reshape(1, b, d)
-    pred = euler_rollout_features(z0, xi_stack, spec, dt, k)
-    target = z_next.reshape(1, b, d)
-    return dc.mse(pred, target) * float(len(members))
+    # (members, p, d), so every member advances its own copy of the batch.
+    xi_stack = (dc.concat(xi_tensors, axis=0).reshape(len(xi_tensors), -1, d)
+                * Tensor(np.stack(masks).astype(np.float64)))
+    z = z_t.reshape(1, b, d)
+    for _ in range(k):
+        z = z + dc.scale(library_features(z, spec) @ xi_stack, dt / k)
+    return dc.mse(z, z_next.reshape(1, b, d)) * float(len(xi_tensors))
 
 
 def koopman_loss(latents: list[Tensor], K: Tensor, m_max: int) -> Tensor:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from shredkit import diffcore as dc
-from shredkit import nets
+from shredkit import nets, sindy
 from shredkit.diffcore import Tensor
+from shredkit.sindy import LibrarySpec
 
 
 def test_matmul_example():
@@ -222,7 +223,7 @@ def test_finite_diff_rejects_bad_h():
 def _random_primitive_loss(rng):
     """Build (loss_fn, params) exercising one randomly chosen primitive."""
     kind = rng.choice(["add", "sub", "hadamard", "matmul", "sigmoid", "tanh", "relu",
-                       "sin", "cos", "sum", "mean", "mse", "scale", "power",
+                       "sum", "mean", "mse", "scale", "library",
                        "concat", "slice", "reshape"])
     shape = (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
     a = Tensor(rng.standard_normal(shape), requires_grad=True)
@@ -238,7 +239,7 @@ def _random_primitive_loss(rng):
     if kind in ("add", "sub", "hadamard"):
         fn = {"add": lambda: a + b, "sub": lambda: a - b, "hadamard": lambda: a * b}[kind]
         return lambda: dc.mse(fn(), t), [a, b]
-    if kind in ("sigmoid", "tanh", "sin", "cos"):
+    if kind in ("sigmoid", "tanh"):
         op = getattr(dc, kind)
         return lambda: dc.mse(op(a), t), [a]
     if kind == "relu":
@@ -254,9 +255,15 @@ def _random_primitive_loss(rng):
     if kind == "scale":
         c = float(rng.standard_normal())
         return lambda: dc.mse(a * c, t), [a]
-    if kind == "power":
-        n = int(rng.integers(1, 4))
-        return lambda: dc.mse(dc.power(a, n), t), [a]
+    if kind == "library":
+        trig = tuple((str(rng.choice(["sin", "cos"])), float(rng.choice([1.0, 0.5, 3.0])))
+                     for _ in range(int(rng.integers(0, 3))))
+        spec = LibrarySpec(dim=int(rng.integers(1, 4)), poly_degree=int(rng.integers(1, 4)),
+                           include_constant=bool(rng.integers(0, 2)), trig=trig)
+        lead = shape if rng.integers(0, 2) else shape[:1]
+        z = Tensor(rng.standard_normal(lead + (spec.dim,)), requires_grad=True)
+        tt = Tensor(rng.standard_normal(lead + (spec.term_count,)))
+        return lambda: dc.mse(sindy.library_features(z, spec), tt), [z]
     if kind == "concat":
         axis = int(rng.integers(0, 2))
         tt = Tensor(np.concatenate([np.zeros(shape)] * 2, axis=axis))

@@ -567,19 +567,27 @@ def test_checkpoint_bad_magic(tmp_path):
         shred.load_checkpoint(path)
 
 
-def test_resume_equals_uninterrupted(tmp_path):
+def _assert_resume_equals_uninterrupted(tmp_path, stop, epochs=6, **over):
     ds = _tiny_dataset()
-    full_cfg = _tiny_config(epochs=6)
-    m_full, l_full = shred.train(ds, full_cfg)
+    m_full, l_full = shred.train(ds, _tiny_config(epochs=epochs, **over))
 
-    half_cfg = _tiny_config(epochs=3)
-    m_half, l_half = shred.train(ds, half_cfg)
+    m_half, l_half = shred.train(ds, _tiny_config(epochs=stop, **over))
     path = tmp_path / "half.shrd"
-    shred.save_checkpoint(m_half, m_half.optimizer, 3, path)
-    m_res, l_res = shred.train(ds, _tiny_config(epochs=6), resume_from=path)
+    shred.save_checkpoint(m_half, m_half.optimizer, stop, path)
+    m_res, l_res = shred.train(ds, _tiny_config(epochs=epochs, **over), resume_from=path)
 
     assert json.dumps(_strip(l_half + l_res)) == json.dumps(_strip(l_full))
     for (n1, a), (n2, b) in zip(sorted(m_full.named_parameters().items()),
                                 sorted(m_res.named_parameters().items())):
         assert n1 == n2
         assert np.array_equal(a.data, b.data), n1
+
+
+def test_resume_equals_uninterrupted(tmp_path):
+    _assert_resume_equals_uninterrupted(tmp_path, stop=3)
+
+
+def test_resume_from_prune_epoch_with_refit_equals_uninterrupted(tmp_path):
+    # Epoch 4 is a prune epoch, so the stopped run's closing refit is the refit
+    # the uninterrupted run makes after that prune.
+    _assert_resume_equals_uninterrupted(tmp_path, stop=4, refit_on_prune=True)

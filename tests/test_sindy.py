@@ -110,22 +110,55 @@ def test_library_bit_identical_to_naive_columns(dim, degree):
                 assert np.array_equal(out, _naive_library(Z, spec))
 
 
+LIBRARY_TRIGS = ((), (("cos", 0.5),), (("sin", 1.0), ("cos", 3.0)), (("sin", 3.0),))
+
+
+def _library_grid():
+    """(spec, leading shape) over dim 1-3, degree 1-3, constant on/off, trig, rank 2/3."""
+    for dim in (1, 2, 3):
+        for degree in (1, 2, 3):
+            for constant in (True, False):
+                for trig in LIBRARY_TRIGS:
+                    spec = LibrarySpec(dim=dim, poly_degree=degree,
+                                       include_constant=constant, trig=trig)
+                    for lead in ((4,), (2, 3)):
+                        yield spec, lead
+
+
 def test_library_features_matches_numpy_route():
-    spec = LibrarySpec(dim=3, poly_degree=3, trig=(("sin", 1.0), ("cos", 0.5)))
     rng = np.random.default_rng(0)
-    Z = rng.standard_normal((6, 3))
-    np_route = sindy.evaluate_library(Z, spec)
-    tensor_route = sindy.library_features(Tensor(Z), spec).data
-    assert np.allclose(np_route, tensor_route, atol=1e-14)
+    for spec, lead in _library_grid():
+        z = rng.standard_normal(lead + (spec.dim,))
+        out = sindy.library_features(Tensor(z), spec).data
+        want = sindy.evaluate_library(z.reshape(-1, spec.dim), spec)
+        assert out.shape == lead + (spec.term_count,) and out.flags.c_contiguous
+        assert np.array_equal(out.reshape(-1, spec.term_count), want), (spec, lead)
 
 
 def test_library_features_gradient():
-    spec = LibrarySpec(dim=2, poly_degree=3, trig=(("sin", 1.0),))
     rng = np.random.default_rng(1)
-    z = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
-    t = Tensor(rng.standard_normal((3, spec.term_count)))
-    err = dc.finite_diff_check(lambda: dc.mse(sindy.library_features(z, spec), t), [z])
-    assert err < 1e-6
+    for spec, lead in _library_grid():
+        z = Tensor(rng.standard_normal(lead + (spec.dim,)), requires_grad=True)
+        t = Tensor(rng.standard_normal(lead + (spec.term_count,)))
+        err = dc.finite_diff_check(lambda: dc.mse(sindy.library_features(z, spec), t), [z])
+        assert err < 1e-6, (spec, lead, err)
+
+
+def _op_nodes(root):
+    """Recorded (non-leaf) tape nodes reachable from ``root``."""
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if node.op is not None and id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.parents)
+    return list(seen.values())
+
+
+def test_library_features_is_one_tape_node():
+    spec = LibrarySpec(dim=3, poly_degree=3, trig=(("sin", 1.0), ("cos", 0.5)))
+    z = Tensor(np.ones((2, 5, 3)), requires_grad=True)
+    assert [n.op for n in _op_nodes(sindy.library_features(z, spec))] == ["library"]
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +528,23 @@ def test_ensemble_loss_gradient_wrt_xi_and_latents():
         return sindy.ensemble_sindy_loss(z_t, z_n, xis, masks, spec, 0.05, 3)
 
     assert dc.finite_diff_check(f, xis + [z_t, z_n], h=1e-6) < 1e-5
+
+
+@pytest.mark.parametrize("members, k", [(1, 1), (8, 1), (4, 10)])
+def test_ensemble_loss_node_count(members, k):
+    # Concat, reshape and mask multiply stack the members; each endpoint is
+    # reshaped once; a mini-step is library, matmul, scale and add; then mse
+    # and the member-count scale.
+    spec = LibrarySpec(dim=2, poly_degree=3, trig=(("sin", 1.0),))
+    p = spec.term_count
+    z_t = Tensor(np.full((6, 2), 0.1), requires_grad=True)
+    z_n = Tensor(np.full((6, 2), 0.2), requires_grad=True)
+    xis = _xi_tensors([np.zeros((p, 2))] * members)
+    loss = sindy.ensemble_sindy_loss(z_t, z_n, xis, [np.ones((p, 2), bool)] * members,
+                                     spec, 0.1, k)
+    ops = [n.op for n in _op_nodes(loss)]
+    assert len(ops) == 7 + 4 * k
+    assert ops.count("library") == k
 
 
 def test_masked_entries_receive_zero_gradient():
