@@ -8,9 +8,10 @@ primitives and stacked batching on matmul.
 
 The primitives are elementwise (add, sub, hadamard, scale, sigmoid, tanh,
 relu), reductions (sum, mean, mse), matmul and shape moves (concat,
-slice_axis, reshape). ``gru_sequence`` fuses a whole GRU layer over all time
-steps into one tape node with a hand-derived backward through time;
-``sindy.library_features`` builds its library node with ``_node`` the same way.
+slice_axis, gather_rows, reshape). ``gru_sequence`` fuses a whole GRU layer
+over all time steps into one tape node with a hand-derived backward through
+time; ``sindy.library_features`` builds its library node with ``_node`` the
+same way.
 """
 
 from __future__ import annotations
@@ -304,6 +305,18 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
         return (full,)
 
     return _node("slice", out, (a,), backward)
+
+
+def gather_rows(a: Tensor, rows: np.ndarray) -> Tensor:
+    """``a[rows]`` along the leading axis; a row taken k times gets the sum of its k gradients."""
+    out = a.data[rows]
+
+    def backward(g):
+        full = np.zeros(a.data.shape)
+        np.add.at(full, rows, g)
+        return (full,)
+
+    return _node("gather_rows", out, (a,), backward)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:

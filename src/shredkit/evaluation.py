@@ -181,6 +181,10 @@ def batch_loss_fn(model: ShredModel, dataset: WindowedDataset):
     horizon = model.config.horizon
     max_start = int(dataset.train_idx.max()) - horizon
     pool = dataset.train_idx[dataset.train_idx <= max_start]
+    if pool.size == 0:
+        raise EvaluationError(
+            f"training split has no window with {horizon} later window(s) after it; "
+            f"the field has {dataset.n_windows} window(s) at lag {dataset.lag}")
     starts = pool[:128]
     batch = make_batch(dataset, starts, horizon)
 

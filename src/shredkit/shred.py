@@ -330,18 +330,36 @@ def _initial_xi_estimate(model: ShredModel, dataset: WindowedDataset) -> None:
         xi.data = estimate.copy()
 
 
-@dataclass
 class Batch:
-    """Temporally adjacent window groups: windows[m] pairs with windows[m+1] one frame later."""
+    """G groups of nb windows, group m + 1 being group m one frame later.
 
-    windows: list[np.ndarray]   # each (batch, L, S)
-    targets: list[np.ndarray]   # each (batch, N)
+    Each distinct window is stored once: ``distinct`` is (U, L, S) and
+    ``rows[m, i]`` is the row of ``distinct`` that is window i of group m.
+    ``targets`` is (G, nb, N), one target per window of every group.
+    ``Batch(windows, targets)`` from G per-group (nb, L, S) window arrays and
+    (nb, N) target arrays counts every row as distinct.
+    """
+
+    def __init__(self, windows, targets, rows: np.ndarray | None = None):
+        if rows is None:
+            groups = len(windows)
+            windows = np.concatenate(windows, axis=0)
+            rows = np.arange(windows.shape[0]).reshape(groups, -1)
+        self.distinct = windows
+        self.rows = rows
+        self.targets = np.asarray(targets)
+
+    @property
+    def windows(self) -> list[np.ndarray]:
+        """The G groups of windows, each (nb, L, S), gathered from ``distinct``."""
+        return [self.distinct[r] for r in self.rows]
 
 
 def make_batch(dataset: WindowedDataset, starts: np.ndarray, horizon: int) -> Batch:
-    windows = [dataset.inputs[starts + m] for m in range(horizon + 1)]
-    targets = [dataset.targets[starts + m] for m in range(horizon + 1)]
-    return Batch(windows=windows, targets=targets)
+    """The windows at ``starts + m`` for m = 0..horizon, each distinct one gathered once."""
+    idx = np.asarray(starts) + np.arange(horizon + 1)[:, None]     # (G, nb)
+    distinct, rows = np.unique(idx, return_inverse=True)
+    return Batch(dataset.inputs[distinct], dataset.targets[idx], rows=rows.reshape(idx.shape))
 
 
 def combined_loss(batch: Batch, model: ShredModel, train_mode: bool = False,
@@ -349,17 +367,19 @@ def combined_loss(batch: Batch, model: ShredModel, train_mode: bool = False,
                   dynamics_enabled: bool = True) -> tuple[Tensor, dict]:
     """Reconstruction MSE plus the latent-dynamics penalty, with a per-term breakdown.
 
-    Sparsity is enforced by the scheduled thresholding events, not by a
-    differentiable term.
+    The GRU encodes each of the batch's distinct windows once; one row gather
+    then lays the latents out group by group (G·nb rows), and its backward
+    sums the gradients of a window that several groups share. Sparsity is
+    enforced by the scheduled thresholding events, not by a differentiable
+    term.
     """
-    if len(batch.windows) < 2:
+    groups, nb = batch.rows.shape
+    if groups < 2:
         raise ConfigError("batch must contain adjacent window groups")
-    groups = len(batch.windows)
-    nb = batch.windows[0].shape[0]
-    stacked = np.concatenate(batch.windows, axis=0)
-    latents = nets.encode_window(stacked, model.gru)
+    latents = dc.gather_rows(nets.encode_window(batch.distinct, model.gru),
+                             batch.rows.reshape(-1))
     recon = nets.decode(latents, model.decoder, train_mode=train_mode, rng=rng)
-    recon_loss = dc.mse(recon, Tensor(np.concatenate(batch.targets, axis=0)))
+    recon_loss = dc.mse(recon, Tensor(batch.targets.reshape(groups * nb, -1)))
 
     parts = {"recon": float(recon_loss.data)}
     total = recon_loss

@@ -473,6 +473,25 @@ def test_landscape_segments_below_one_exit_2(modal_dir, trained_dir, tmp_path, c
     assert not (tmp_path / "landscape.csv").exists()
 
 
+@pytest.mark.parametrize("extra_frames", [1, 2])
+def test_landscape_field_without_adjacent_training_pair_exit_2(trained_dir, tmp_path, capsys,
+                                                               recwarn, extra_frames):
+    # lag + 1 or lag + 2 frames leave one training window, which has no successor.
+    lag = json.loads((trained_dir / "config.json").read_text())["train"]["lag"]
+    assert main(["generate", "modal", "--out", str(tmp_path / "short"), "--grid", "6", "6",
+                 "--frames", str(lag + extra_frames), "--seed", "1"]) == 0
+    capsys.readouterr()
+    code = main(["landscape", "--checkpoint", str(trained_dir / "model.shrd"),
+                 "--field", str(tmp_path / "short" / "field.fld"), "--grid", "3",
+                 "--segments", "2", "--out", str(tmp_path / "scan")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: training split has no window with 1 later window(s) after it; "
+        f"the field has {extra_frames} window(s) at lag {lag}"]
+    assert len(recwarn) == 0
+    assert not (tmp_path / "scan" / "landscape.csv").exists()
+
+
 @pytest.mark.parametrize("flag, value", [("--alpha", "nan"), ("--alpha", "inf"),
                                          ("--alpha", "-inf"), ("--alpha", "-0.5"),
                                          ("--tolerance", "nan"), ("--tolerance", "inf"),

@@ -301,6 +301,32 @@ def test_stacked_matmul_gradient():
     assert dc.finite_diff_check(lambda: dc.mse(a @ b, t), [a, b], h=1e-6) < 1e-6
 
 
+def test_gather_rows_gradient_with_repeated_and_unused_rows():
+    rng = np.random.default_rng(5)
+    a = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+    rows = np.array([4, 0, 4, 2, 0, 4])       # rows 1 and 3 unused
+    t = Tensor(rng.standard_normal((6, 3)))
+    assert dc.finite_diff_check(lambda: dc.mse(dc.gather_rows(a, rows), t), [a],
+                                h=1e-6) < 1e-6
+
+
+def test_gather_rows_sums_duplicate_row_gradients():
+    a = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+    out = dc.gather_rows(a, np.array([2, 0, 2, 2]))
+    assert np.array_equal(out.data, [[4.0, 5.0], [0.0, 1.0], [4.0, 5.0], [4.0, 5.0]])
+    g = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
+    dc.backward((out * Tensor(g)).sum())
+    assert np.array_equal(a.grad, [[3.0, 4.0], [0.0, 0.0], [13.0, 16.0]])
+
+
+def test_gather_rows_records_no_node_under_no_grad():
+    a = Tensor(np.ones((3, 2)), requires_grad=True)
+    with dc.no_grad():
+        out = dc.gather_rows(a, np.array([0, 0, 1]))
+    assert out.op is None and out.parents == () and not out.requires_grad
+    assert np.array_equal(out.data, np.ones((3, 2)))
+
+
 def test_matmul_is_pure():
     rng = np.random.default_rng(7)
     a = Tensor(rng.standard_normal((3, 3)))

@@ -232,6 +232,20 @@ def test_landscape_swap_seeds_transposes():
     assert np.array_equal(g_ab.values, g_ba.values.T)
 
 
+@pytest.mark.parametrize("mode, frames", [("sindy", 9), ("koopman", 12)])
+def test_landscape_loss_without_a_window_run_in_training_split(mode, frames):
+    # Lag 8: 9 frames leave one training window; 12 frames leave three,
+    # one short of the four adjacent windows a koopman_m_max = 3 loss needs.
+    fld, _ = data.gen_modal_field((6, 6), [(0, 1.0, 2 * np.pi, 0.3)], n_frames=frames,
+                                  dt=0.02, noise=0.01, seed=1)
+    ds = data.make_windows(fld, data.select_sensors(fld, 8, seed=2), lag=8)
+    cfg = shred.ShredConfig(lag=8, latent_dim=2, dt=0.02, mode=mode, koopman_m_max=3)
+    model = shred.init_model(cfg, 8, 36)
+    with pytest.raises(evaluation.EvaluationError,
+                       match=f"no window with {cfg.horizon} later window"):
+        evaluation.batch_loss_fn(model, ds)
+
+
 def test_landscape_rejects_even_or_tiny_grid():
     model, ds, _, _ = _trained_tiny_model()
     loss_fn = evaluation.batch_loss_fn(model, ds)

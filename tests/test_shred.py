@@ -7,17 +7,19 @@ import zlib
 import numpy as np
 import pytest
 
-from shredkit import data, diffcore as dc, nets, shred, sindy
+from shredkit import data, diffcore as dc, evaluation, nets, shred, sindy
 from shredkit.diffcore import Tensor
 from shredkit.shred import Batch, ShredConfig, ShredModel
 
 
-def _tiny_dataset(seed=0, t=300, grid=(8, 8), n_sensors=10, lag=10, omega=2 * np.pi):
+def _tiny_dataset(seed=0, t=300, grid=(8, 8), n_sensors=10, lag=10, omega=2 * np.pi,
+                  duplicate_tail_fraction=0.0):
     fld, _ = data.gen_modal_field(grid, [(0, 1.0, omega, 0.3)], n_frames=t,
                                   dt=0.02, noise=0.01, seed=seed)
     fld = data.standardize(fld)
     sensors = data.select_sensors(fld, n_sensors, seed=seed + 1)
-    return data.make_windows(fld, sensors, lag=lag)
+    return data.make_windows(fld, sensors, lag=lag,
+                             duplicate_tail_fraction=duplicate_tail_fraction)
 
 
 def _tiny_config(**over):
@@ -99,6 +101,77 @@ def test_gradient_flow_through_all_components():
     for i, xi in enumerate(model.xi):
         active = model.masks[i]
         assert xi.grad is not None and np.all(xi.grad[active] != 0), f"xi{i}"
+
+
+def _dedup_case(case):
+    """A dataset, a model and starts whose windows overlap across the batch's groups."""
+    if case == "duplicate_tail":
+        ds = _tiny_dataset(duplicate_tail_fraction=0.2)
+        starts = ds.train_idx[-60:]
+        assert np.unique(starts).size < starts.size
+    else:
+        ds = _tiny_dataset()
+        starts = ds.train_idx[10:74]
+    cfg = _tiny_config(mode="koopman", koopman_m_max=3) if case == "koopman" else _tiny_config()
+    model = shred.init_model(cfg, ds.inputs.shape[2], ds.targets.shape[1])
+    if cfg.mode == "sindy":
+        shred._initial_xi_estimate(model, ds)
+    return ds, model, starts
+
+
+def _all_distinct_batch(ds, starts, horizon):
+    return Batch([ds.inputs[starts + m] for m in range(horizon + 1)],
+                 [ds.targets[starts + m] for m in range(horizon + 1)])
+
+
+@pytest.mark.parametrize("case", ["sindy", "koopman", "duplicate_tail"])
+def test_make_batch_loss_equals_all_distinct_batch(case):
+    ds, model, starts = _dedup_case(case)
+    horizon = model.config.horizon
+    batch = shred.make_batch(ds, starts, horizon)
+    assert batch.distinct.shape[0] < batch.rows.size
+    with dc.no_grad():
+        got, got_parts = shred.combined_loss(batch, model)
+        want, want_parts = shred.combined_loss(_all_distinct_batch(ds, starts, horizon), model)
+    assert got.data == want.data and got_parts == want_parts
+    assert got_parts["dynamics"] > 0.0
+
+
+@pytest.mark.parametrize("case", ["sindy", "koopman", "duplicate_tail"])
+def test_make_batch_train_mode_matches_all_distinct_batch(case):
+    ds, model, starts = _dedup_case(case)
+    horizon = model.config.horizon
+    params = model.named_parameters()
+    results = []
+    for batch in (shred.make_batch(ds, starts, horizon), _all_distinct_batch(ds, starts, horizon)):
+        for p in params.values():
+            p.zero_grad()
+        loss, parts = shred.combined_loss(batch, model, train_mode=True,
+                                          rng=shred.rng_for(0, 2, 1, 0))
+        dc.backward(loss)
+        results.append((parts, {n: p.grad.copy() for n, p in params.items()}))
+    (got_parts, got), (want_parts, want) = results
+    assert got_parts == want_parts
+    for name in want:
+        scale = max(float(np.abs(want[name]).max()), 1e-300)
+        assert np.abs(got[name] - want[name]).max() <= 1e-12 * scale, name
+
+
+@pytest.mark.parametrize("mode, rows", [("sindy", 129), ("koopman", 128 + 3)])
+def test_landscape_loss_encodes_each_distinct_window_once(monkeypatch, mode, rows):
+    ds = _tiny_dataset()
+    model = shred.init_model(_tiny_config(mode=mode, koopman_m_max=3),
+                             ds.inputs.shape[2], ds.targets.shape[1])
+    encoded = []
+    encode = nets.encode_window
+
+    def record(window, params):
+        encoded.append(window.shape[0])
+        return encode(window, params)
+
+    monkeypatch.setattr(nets, "encode_window", record)
+    evaluation.batch_loss_fn(model, ds)()
+    assert encoded == [rows]
 
 
 # ---------------------------------------------------------------------------
