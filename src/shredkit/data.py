@@ -116,7 +116,9 @@ def load_field(path) -> Field:
     payload = raw[off:]
     if len(payload) < expected:
         raise FieldFormatError(f"truncated payload: {len(payload)} bytes < {expected}")
-    data = np.frombuffer(payload[:expected], dtype="<f4").reshape(t, n).astype(np.float64)
+    if len(payload) > expected:
+        raise FieldFormatError(f"{len(payload) - expected} trailing bytes after the payload")
+    data = np.frombuffer(payload, dtype="<f4").reshape(t, n).astype(np.float64)
     return Field(data=data, grid_shape=grid, dt_physical=dt_physical,
                  scale=(smin, smax) if has_scale else None)
 

@@ -18,7 +18,7 @@ import struct
 import time
 import warnings
 import zlib
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
 import scipy.linalg
@@ -251,17 +251,20 @@ class ShredModel:
         """Latent trajectory (steps + 1, d) from z0 under the learned dynamics.
 
         Koopman mode applies ``z @ K`` per frame; sindy mode rolls out the
-        selected member. A non-finite state raises RolloutDivergenceError with
-        the frame index it first appears at.
+        selected member. The finished trajectory raises RolloutDivergenceError
+        at its first non-finite frame t >= 1.
         """
         if self.mode != "koopman":
-            return sindy.rollout(self.selected_model(), z0, steps)
-        out = np.empty((steps + 1, z0.shape[-1]))
-        out[0] = z0
-        for t in range(steps):
-            out[t + 1] = out[t] @ self.K.data
-            if not np.all(np.isfinite(out[t + 1])):
-                raise sindy.RolloutDivergenceError(t + 1, "frame")
+            out = sindy.rollout(self.selected_model(), z0, steps)
+        else:
+            out = np.empty((steps + 1, z0.shape[-1]))
+            out[0] = z0
+            with np.errstate(over="ignore", invalid="ignore"):
+                for t in range(steps):
+                    out[t + 1] = out[t] @ self.K.data
+        bad = ~np.isfinite(out[1:]).all(axis=1)
+        if bad.any():
+            raise sindy.RolloutDivergenceError(int(bad.argmax()) + 1)
         return out
 
     def encode_np(self, windows: np.ndarray) -> np.ndarray:
@@ -562,32 +565,33 @@ def _selection_latents(model: ShredModel, dataset: WindowedDataset) -> np.ndarra
     return _latents(model, dataset, idx)
 
 
+def _rollout_mses(members: list[SindyModel], latents: np.ndarray) -> list[float]:
+    """Each member's MSE on one stacked rollout from ``latents[0]``; inf where non-finite."""
+    ensemble = replace(members[0], Xi=np.stack([m.Xi for m in members]),
+                       mask=np.stack([m.mask for m in members]))
+    traj = sindy.rollout(ensemble, np.tile(latents[0], (len(members), 1)), len(latents) - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mses = [float(np.mean((traj[:, e] - latents) ** 2)) for e in range(len(members))]
+    return [m if math.isfinite(m) else math.inf for m in mses]
+
+
 def select_discovered_model(model: ShredModel,
                             latents: np.ndarray) -> tuple[int, SindyModel, str]:
     """Pick the sparsest member whose validation rollout MSE is within 10% of the best.
 
-    The rollout starts from the first validation latent and runs the member's
-    cell for the whole span with no corrections; diverging members score inf.
+    Every member starts from the first validation latent and runs for the
+    whole span with no corrections, all members in one stacked rollout; a
+    member whose trajectory goes non-finite scores inf.
     """
     latents = np.asarray(latents, dtype=np.float64)
     if latents.ndim != 2 or latents.shape[0] < 2:
         raise SelectionError("need a latent trajectory with at least 2 rows")
     members = [model.member(i) for i in range(len(model.xi))]
-    mses = []
-    for member in members:
-        try:
-            traj = sindy.rollout(member, latents[0], latents.shape[0] - 1)
-            mse = float(np.mean((traj - latents) ** 2))
-        except sindy.RolloutDivergenceError:
-            mse = float("inf")
-        if not np.isfinite(mse):
-            mse = float("inf")
-        mses.append(mse)
+    mses = _rollout_mses(members, latents)
     best = min(mses)
-    if not np.isfinite(best):
+    if not math.isfinite(best):
         raise SelectionError(f"all ensemble members diverge on validation rollout: {mses}")
-    cutoff = best * 1.1
-    candidates = [i for i, m in enumerate(mses) if m <= cutoff]
+    candidates = [i for i, m in enumerate(mses) if m <= best * 1.1]
     chosen = min(candidates, key=lambda i: (members[i].nnz, i))
     return chosen, members[chosen], sindy.equations_text(members[chosen])
 

@@ -34,11 +34,11 @@ class ConditioningError(RuntimeError):
 
 
 class RolloutDivergenceError(RuntimeError):
-    """A state went non-finite; ``substep`` is the index, in ``unit``s, where it first did."""
+    """A returned trajectory went non-finite; ``frame`` (>= 1) is the first frame that did."""
 
-    def __init__(self, substep: int, unit: str):
-        super().__init__(f"non-finite state at {unit} {substep}")
-        self.substep = substep
+    def __init__(self, frame: int):
+        super().__init__(f"non-finite state at frame {frame}")
+        self.frame = frame
 
 
 class EigenAnalysisError(RuntimeError):
@@ -186,17 +186,17 @@ class SindyModel:
     """Latent ODE zdot = theta(z) @ Xi advanced by k explicit-Euler mini-steps of dt/k."""
 
     spec: LibrarySpec
-    Xi: np.ndarray          # (p, d)
-    mask: np.ndarray        # boolean (p, d); Xi is zero wherever mask is False
+    Xi: np.ndarray          # (p, d), or (E, p, d) for an ensemble of E members
+    mask: np.ndarray        # boolean, Xi's shape; Xi is zero wherever mask is False
     dt: float = 1.0
     k: int = 1
 
     def __post_init__(self):
         self.Xi = np.asarray(self.Xi, dtype=np.float64)
         self.mask = np.asarray(self.mask, dtype=bool)
-        p = self.spec.term_count
-        if self.Xi.shape != (p, self.spec.dim):
-            raise DimensionMismatchError(f"Xi shape {self.Xi.shape} != ({p}, {self.spec.dim})")
+        p, d = self.spec.term_count, self.spec.dim
+        if self.Xi.ndim not in (2, 3) or self.Xi.shape[-2:] != (p, d):
+            raise DimensionMismatchError(f"Xi shape {self.Xi.shape} != ([E,] {p}, {d})")
         if self.mask.shape != self.Xi.shape:
             raise DimensionMismatchError("mask shape differs from Xi")
         if self.dt <= 0 or self.k < 1:
@@ -323,36 +323,32 @@ def _stlsq(theta: np.ndarray, dZ: np.ndarray, threshold: float, iters: int,
 
 
 def sindy_cell(z: np.ndarray, model: SindyModel) -> np.ndarray:
-    """Advance state(s) one frame via k explicit-Euler sub-steps of h = dt/k."""
-    z = np.asarray(z, dtype=np.float64)
-    single = z.ndim == 1
-    state = np.atleast_2d(z)
+    """Advance state rows one frame via k explicit-Euler sub-steps of h = dt/k.
+
+    ``z`` is (d,) or (n, d); an (E, p, d) Xi advances an (E, d) state, row e
+    under member e, exactly as that member alone would (the library is made
+    row-major). Unchecked: a non-finite coordinate stays non-finite.
+    """
+    state = np.atleast_2d(np.asarray(z, dtype=np.float64))
     h = model.dt / model.k
     Xi = model.effective_Xi()
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(model.k):
-            state = state + h * (evaluate_library(state, model.spec) @ Xi)
-            if not np.all(np.isfinite(state)):
-                raise RolloutDivergenceError(i, "Euler sub-step")
-    return state[0] if single else state
+        for _ in range(model.k):
+            theta = np.ascontiguousarray(evaluate_library(state, model.spec))
+            state = state + h * np.matmul(theta[:, None, :], Xi)[:, 0, :]
+    return state.reshape(np.shape(z))
 
 
 def rollout(model: SindyModel, z0: np.ndarray, steps: int) -> np.ndarray:
-    """Trajectory of shape (steps + 1, d) from z0 under repeated sindy_cell.
+    """Trajectory (steps + 1,) + z0.shape from a state or rows z0 under repeated sindy_cell.
 
-    A non-finite state raises RolloutDivergenceError carrying the frame index
-    t >= 1 it first appears at, chained from the cell's sub-step error.
+    A non-finite row is carried to the end, not raised; callers score or raise on it.
     """
     z0 = np.asarray(z0, dtype=np.float64)
-    out = np.empty((steps + 1, z0.shape[-1]))
+    out = np.empty((steps + 1,) + z0.shape)
     out[0] = z0
-    z = z0
     for t in range(steps):
-        try:
-            z = sindy_cell(z, model)
-        except RolloutDivergenceError as exc:
-            raise RolloutDivergenceError(t + 1, "frame") from exc
-        out[t + 1] = z
+        out[t + 1] = sindy_cell(out[t], model)
     return out
 
 

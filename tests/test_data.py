@@ -56,6 +56,14 @@ def test_load_rejects_truncated_payload(tmp_path):
         data.load_field(path)
 
 
+def test_load_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "t.fld"
+    data.save_field(_random_field(np.random.default_rng(2)), path)
+    path.write_bytes(path.read_bytes() + b"\x00" * 7)
+    with pytest.raises(data.FieldFormatError, match="7 trailing bytes"):
+        data.load_field(path)
+
+
 @pytest.mark.parametrize("grid", [None, (4, 5)])
 def test_load_rejects_every_strict_prefix(tmp_path, grid):
     rng = np.random.default_rng(4)

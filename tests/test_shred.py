@@ -2,6 +2,7 @@
 
 import json
 import struct
+import warnings
 import zlib
 
 import numpy as np
@@ -438,6 +439,48 @@ def test_select_rejects_sparse_but_bad_member():
     model = _selection_model([G.T, bad], [np.ones((2, 2), bool), bad_mask])
     idx, _, _ = shred.select_discovered_model(model, Z)
     assert idx == 0
+
+
+def test_select_mses_match_one_member_rollouts_and_divergence_scores_inf():
+    rng = np.random.default_rng(5)
+    Z, G = _oscillator_latents()
+    xis = [G.T + 0.05 * rng.standard_normal((2, 2)) for _ in range(4)]
+    xis[2] = 1e200 * xis[2]
+    masks = [np.ones((2, 2), bool), np.abs(xis[1]) > 0.5, np.ones((2, 2), bool),
+             np.eye(2, dtype=bool)]
+    model = _selection_model(xis, masks, k=3)
+    members = [model.member(i) for i in range(4)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mses = shred._rollout_mses(members, Z)
+    assert mses[2] == np.inf
+    for e in (0, 1, 3):
+        own = float(np.mean((sindy.rollout(members[e], Z[0], Z.shape[0] - 1) - Z) ** 2))
+        assert np.isfinite(own) and mses[e] == own
+
+
+def test_rollout_np_reports_first_non_finite_frame():
+    # zdot = z^3 from z = 2 overflows after several frames; the trajectory
+    # carries the non-finite state, and rollout_np raises at its first frame.
+    xi = np.array([[0.0], [0.0], [1.0]])
+    model = _selection_model([xi], [xi != 0], dt=0.1, k=5, d=1)
+    model.spec = sindy.LibrarySpec(dim=1, poly_degree=3, include_constant=False)
+    model.selected_index = 0
+    member = model.selected_model()
+    z, frame = np.array([2.0]), None
+    for t in range(1, 100):
+        z = sindy.sindy_cell(z, member)
+        if not np.isfinite(z).all():
+            frame = t
+            break
+    assert frame is not None and frame > 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(sindy.RolloutDivergenceError) as info:
+            model.rollout_np(np.array([2.0]), 99)
+    assert info.value.frame == frame
+    assert str(info.value) == f"non-finite state at frame {frame}"
+    assert info.value.__cause__ is None
 
 
 def test_select_all_divergent_raises():

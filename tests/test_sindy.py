@@ -2,11 +2,12 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shredkit import diffcore as dc
@@ -422,32 +423,69 @@ def test_sindy_cell_harmonic_trajectory():
     assert np.max(np.abs(traj - truth)) < 1e-2
 
 
-def test_sindy_cell_divergence_reports_substep():
+def test_sindy_cell_carries_non_finite_state():
     spec = LibrarySpec(dim=1, poly_degree=3, include_constant=False)
     Xi = np.array([[0.0], [0.0], [1.0]])  # zdot = z^3 blows up
     model = SindyModel(spec=spec, Xi=Xi, mask=Xi != 0, dt=10.0, k=50)
-    with pytest.raises(sindy.RolloutDivergenceError, match="sub-step"):
-        sindy.sindy_cell(np.array([50.0]), model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = sindy.sindy_cell(np.array([50.0]), model)
+        assert not np.isfinite(out).any()
+        assert not np.isfinite(sindy.sindy_cell(out, model)).any()
 
 
-def test_rollout_divergence_reports_frame_chained_from_substep():
-    spec = LibrarySpec(dim=1, poly_degree=3, include_constant=False)
-    Xi = np.array([[0.0], [0.0], [1.0]])  # zdot = z^3 blows up
-    model = SindyModel(spec=spec, Xi=Xi, mask=Xi != 0, dt=0.1, k=5)
-    z, frame = np.array([2.0]), None
-    for t in range(1, 100):
-        try:
-            z = sindy.sindy_cell(z, model)
-        except sindy.RolloutDivergenceError as exc:
-            frame, substep = t, exc.substep
-            break
-    assert frame is not None and frame > 1
-    with pytest.raises(sindy.RolloutDivergenceError) as info:
-        sindy.rollout(model, np.array([2.0]), 99)
-    assert info.value.substep == frame
-    assert str(info.value) == f"non-finite state at frame {frame}"
-    assert isinstance(info.value.__cause__, sindy.RolloutDivergenceError)
-    assert info.value.__cause__.substep == substep
+@pytest.mark.parametrize("shape", [(6,), (6, 3), (2, 5, 2), (1, 2, 6, 2)])
+def test_sindy_model_rejects_xi_that_is_not_one_member_or_a_stack(shape):
+    spec = LibrarySpec(dim=2, poly_degree=2)          # 6 terms
+    assert SindyModel(spec=spec, Xi=np.zeros((3, 6, 2)), mask=np.ones((3, 6, 2), bool)).nnz == 36
+    with pytest.raises(sindy.DimensionMismatchError, match="Xi shape"):
+        SindyModel(spec=spec, Xi=np.zeros(shape), mask=np.ones(shape, bool))
+
+
+def _random_members(rng, spec, count, k, scale=1.0):
+    p, d = spec.term_count, spec.dim
+    members = []
+    for _ in range(count):
+        mask = rng.random((p, d)) < 0.7
+        Xi = np.where(mask, scale * rng.standard_normal((p, d)), 0.0)
+        members.append(SindyModel(spec=spec, Xi=Xi, mask=mask, dt=0.05, k=k))
+    return members
+
+
+def _stacked(members):
+    return SindyModel(spec=members[0].spec, Xi=np.stack([m.Xi for m in members]),
+                      mask=np.stack([m.mask for m in members]),
+                      dt=members[0].dt, k=members[0].k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 5), degree=st.integers(1, 3), trig=st.booleans(),
+       members=st.integers(1, 10), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+@example(d=2, degree=3, trig=True, members=1, k=3, seed=0)
+def test_sindy_cell_stacked_rows_match_each_member(d, degree, trig, members, k, seed):
+    rng = np.random.default_rng(seed)
+    spec = LibrarySpec(dim=d, poly_degree=degree, trig=(("sin", 1.0),) if trig else ())
+    ensemble = _random_members(rng, spec, members, k)
+    z = rng.uniform(-1.0, 1.0, (members, d))
+    got = sindy.sindy_cell(z, _stacked(ensemble))
+    assert got.shape == z.shape
+    for e, member in enumerate(ensemble):
+        assert np.array_equal(got[e], sindy.sindy_cell(z[e], member))
+
+
+def test_sindy_cell_non_finite_row_leaves_other_rows_unchanged():
+    rng = np.random.default_rng(11)
+    spec = LibrarySpec(dim=2, poly_degree=3, trig=(("sin", 1.0),))
+    ensemble = _random_members(rng, spec, 4, k=3, scale=0.2)
+    ensemble[2].Xi = ensemble[2].Xi * 1e200
+    z = rng.uniform(-1.0, 1.0, (4, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = sindy.rollout(_stacked(ensemble), z, 20)
+    assert not np.isfinite(traj[-1, 2]).any()
+    for e in (0, 1, 3):
+        assert np.isfinite(traj[:, e]).all()
+        assert np.array_equal(traj[:, e], sindy.rollout(ensemble[e], z[e], 20))
 
 
 # ---------------------------------------------------------------------------
