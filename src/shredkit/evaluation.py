@@ -353,7 +353,13 @@ def _default_scaling_system() -> tuple[np.ndarray, sindy.LibrarySpec]:
 
 
 def _scaling_fit(n: int, noise: float, seed: int) -> tuple[float, np.ndarray, float]:
-    """One Monte-Carlo fit: returns (coef error, fitted Xi, lambda_min/n)."""
+    """One Monte-Carlo fit: returns (coef error, fitted Xi, lambda_min/n).
+
+    The fit is the Cholesky solve of the normal equations on the Gram matrix
+    theta^T theta whose smallest eigenvalue it reports. A Gram that fails
+    ``sindy._solve_ridge``'s ridge-free check (lambda_min <= 0 or
+    lambda_max / lambda_min > 1e12) gives NaN coefficients instead of a fit.
+    """
     G, spec = _default_scaling_system()
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     X = rng.uniform(-1.0, 1.0, size=(n, 2))
@@ -362,10 +368,12 @@ def _scaling_fit(n: int, noise: float, seed: int) -> tuple[float, np.ndarray, fl
     xi_true[spec.linear_slice, :] = G.T
     targets = X @ G.T + noise * rng.standard_normal((n, 2))
     gram = theta.T @ theta
-    lam_min = float(np.linalg.eigvalsh(gram).min()) / n
-    Xi, _ = sindy._stlsq(theta, targets, threshold=0.0, iters=1, ridge=0.0)
-    coef_err = float(np.linalg.norm(Xi - xi_true))
-    return coef_err, Xi, lam_min
+    lam = np.linalg.eigvalsh(gram)
+    if lam[0] > 0 and lam[-1] <= 1e12 * lam[0]:
+        Xi = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram), theta.T @ targets)
+    else:
+        Xi = np.full_like(xi_true, np.nan)
+    return float(np.linalg.norm(Xi - xi_true)), Xi, float(lam[0]) / n
 
 
 def _rollout_errors(Xis: np.ndarray, horizon: float) -> list[float]:
@@ -397,8 +405,9 @@ def theory_scaling_experiment(n_values: list[int] | None = None,
 
     States are drawn iid from the sampling box (matching the regression model
     the error bound is stated for), noise is added to the derivative targets,
-    and thresholding is off. Ill-conditioned cells are flagged and excluded
-    from the slope fit.
+    and thresholding is off. Each fit solves the normal equations on the Gram
+    matrix whose lambda_min/n the cell reports. A cell with an ill-conditioned
+    fit is flagged ``excluded`` and left out of the slope and the noise ratio.
 
     Every fit of the sweep goes through one worker pool, and the parent then
     integrates all fitted models in one stacked RK4 run.
@@ -407,6 +416,8 @@ def theory_scaling_experiment(n_values: list[int] | None = None,
     noise_values = noise_values or [0.1, 0.2]
     if trials < 20:
         raise EvaluationError("need >= 20 Monte-Carlo trials per cell")
+    if len(set(n_values)) < 2:
+        raise EvaluationError(f"need >= 2 distinct sample counts, got {n_values}")
     grid = [(noise, n) for noise in noise_values for n in n_values]
     args = [(n, noise, seed * 1_000_003 + cell * 1009 + t)
             for cell, (noise, n) in enumerate(grid) for t in range(trials)]
@@ -418,7 +429,7 @@ def theory_scaling_experiment(n_values: list[int] | None = None,
         coef = np.array([f[0] for f in fits[span]])
         roll = np.array(rollouts[span])
         lam = np.array([f[2] for f in fits[span]])
-        excluded = bool(lam.min() <= 0 or not np.all(np.isfinite(coef)))
+        excluded = bool(np.isnan(coef).any())
         cells.append(ScalingCell(n=n, noise=noise, horizon=horizon,
                                  coef_err_mean=float(coef.mean()),
                                  coef_err_std=float(coef.std(ddof=1)),
@@ -430,6 +441,8 @@ def theory_scaling_experiment(n_values: list[int] | None = None,
     s0 = noise_values[0]
     pts = [(math.log(c.n), math.log(c.coef_err_mean), c.coef_err_std / (c.coef_err_mean * math.sqrt(trials)))
            for c in cells if c.noise == s0 and not c.excluded]
+    if len({p[0] for p in pts}) < 2:
+        raise EvaluationError(f"fewer than 2 well-conditioned sample counts at noise {s0}")
     xs = np.array([p[0] for p in pts])
     ys = np.array([p[1] for p in pts])
     A = np.stack([xs, np.ones_like(xs)], axis=1)

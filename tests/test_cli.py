@@ -613,6 +613,21 @@ def test_validate_theory_thm1_diverged_cell_is_strict_json(tmp_path):
     assert payload["slope_ok"] and payload["noise_linearity_ok"]
 
 
+def test_validate_theory_thm1_excluded_cell_is_strict_json(tmp_path, monkeypatch):
+    # 8 samples cannot fit 10 library terms, so those cells are excluded with null errors.
+    sweep = evaluation.theory_scaling_experiment
+    monkeypatch.setattr(evaluation, "theory_scaling_experiment",
+                        lambda **kw: sweep(n_values=[8, 100, 1000], **kw))
+    code = main(["validate-theory", "--suite", "thm1", "--seed", "0", "--out", str(tmp_path)])
+    assert code == 0
+    payload = _strict_json((tmp_path / "thm1.json").read_text())
+    excluded = [c for c in payload["cells"] if c["excluded"]]
+    assert [(c["n"], c["noise"]) for c in excluded] == [(8, 0.1), (8, 0.2)]
+    assert all(c["coef_err_mean"] is None and c["rollout_err_mean"] is None for c in excluded)
+    assert all(isinstance(c["coef_err_mean"], float) for c in payload["cells"] if not c["excluded"])
+    assert payload["slope_ok"] and payload["noise_linearity_ok"]
+
+
 def test_validate_theory_unknown_suite_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["validate-theory", "--suite", "thm9", "--out", str(tmp_path)])

@@ -1,6 +1,7 @@
 """Forecasting, error tables, landscape scanning, convexity, scaling harness."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -505,28 +506,39 @@ def test_sine_comparison_recovers_sin_coefficient():
     assert abs(report.sin_coefficient + 1.0) < 1e-3
 
 
-def _scalar_scaling_trial(n, noise, horizon, seed):
-    """Per-trial reference: one fit, then a scalar RK4 rollout of that model alone."""
-    G = np.array([[-0.1, 1.0], [-1.0, -0.1]])
-    spec = sindy.LibrarySpec(dim=2, poly_degree=3, include_constant=True)
+_SCALING_G = np.array([[-0.1, 1.0], [-1.0, -0.1]])
+_SCALING_SPEC = sindy.LibrarySpec(dim=2, poly_degree=3, include_constant=True)
+
+
+def _scaling_trial_data(n, noise, seed):
+    """One sweep trial's states and noisy derivative targets, drawn as the sweep draws them."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     X = rng.uniform(-1.0, 1.0, size=(n, 2))
+    return X, X @ _SCALING_G.T + noise * rng.standard_normal((n, 2))
+
+
+def _scalar_scaling_trial(n, noise, horizon, seed):
+    """Per-trial reference: one fit, then a scalar RK4 rollout of that model alone."""
+    G, spec = _SCALING_G, _SCALING_SPEC
+    X, targets = _scaling_trial_data(n, noise, seed)
     theta = sindy.evaluate_library(X, spec)
     xi_true = np.zeros((spec.term_count, 2))
     xi_true[spec.linear_slice, :] = G.T
-    targets = X @ G.T + noise * rng.standard_normal((n, 2))
-    lam_min = float(np.linalg.eigvalsh(theta.T @ theta).min()) / n
-    fit = sindy.fit_stlsq(X, targets, spec, threshold=0.0, iters=1, ridge=0.0)
-    coef_err = float(np.linalg.norm(fit.Xi - xi_true))
+    gram = theta.T @ theta
+    lam_min = float(np.linalg.eigvalsh(gram).min()) / n
+    # Column-major, as the sweep's cho_solve returns its fits and np.stack keeps them:
+    # the layout sets the summation order of the library-times-Xi product.
+    Xi = np.asfortranarray(scipy.linalg.solve(gram, theta.T @ targets, assume_a="pos"))
+    coef_err = float(np.linalg.norm(Xi - xi_true))
     x0 = np.array([1.0, 0.0])
     truth = scipy.linalg.expm(horizon * G) @ x0
     dt = 0.01
     z = x0.copy()
     for _ in range(int(round(horizon / dt))):
-        k1 = (sindy.evaluate_library(z[None], spec) @ fit.Xi)[0]
-        k2 = (sindy.evaluate_library((z + 0.5 * dt * k1)[None], spec) @ fit.Xi)[0]
-        k3 = (sindy.evaluate_library((z + 0.5 * dt * k2)[None], spec) @ fit.Xi)[0]
-        k4 = (sindy.evaluate_library((z + dt * k3)[None], spec) @ fit.Xi)[0]
+        k1 = (sindy.evaluate_library(z[None], spec) @ Xi)[0]
+        k2 = (sindy.evaluate_library((z + 0.5 * dt * k1)[None], spec) @ Xi)[0]
+        k3 = (sindy.evaluate_library((z + 0.5 * dt * k2)[None], spec) @ Xi)[0]
+        k4 = (sindy.evaluate_library((z + dt * k3)[None], spec) @ Xi)[0]
         z = z + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return coef_err, float(np.linalg.norm(z - truth)), lam_min
 
@@ -549,6 +561,50 @@ def test_scaling_sweep_matches_per_trial_scalar_rk4(monkeypatch):
             assert got.coef_err_std == float(coef.std(ddof=1))
             assert got.lambda_min_ratio == float(lam.min())
             cell += 1
+
+
+def test_scaling_fits_agree_with_least_squares_stlsq(monkeypatch):
+    # The sweep's normal-equations fits against fit_stlsq's ridge-free lstsq route.
+    n_values, noise_values, trials, seed = [100, 1000, 10_000], [0.1, 0.2], 20, 4
+    captured = []
+    rollout_errors = evaluation._rollout_errors
+    monkeypatch.setattr(evaluation, "_rollout_errors",
+                        lambda Xis, horizon: captured.append(Xis) or rollout_errors(Xis, horizon))
+    evaluation.theory_scaling_experiment(n_values=n_values, noise_values=noise_values,
+                                         trials=trials, seed=seed)
+    (Xis,) = captured
+    grid = [(noise, n) for noise in noise_values for n in n_values]
+    assert Xis.shape == (len(grid) * trials, _SCALING_SPEC.term_count, 2)
+    for cell, (noise, n) in enumerate(grid):
+        for t in range(trials):
+            X, targets = _scaling_trial_data(n, noise, seed * 1_000_003 + cell * 1009 + t)
+            ref = sindy.fit_stlsq(X, targets, _SCALING_SPEC, threshold=0.0, iters=1, ridge=0.0).Xi
+            got = Xis[cell * trials + t]
+            assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_scaling_excludes_ill_conditioned_cells():
+    # 8 samples cannot determine 10 library terms: those cells are excluded, not fatal.
+    report = evaluation.theory_scaling_experiment(n_values=[8, 100, 1000],
+                                                  noise_values=[0.1, 0.2], trials=20, seed=6)
+    assert [c.excluded for c in report.cells] == [True, False, False] * 2
+    for cell in report.cells[::3]:
+        assert math.isnan(cell.coef_err_mean) and math.isnan(cell.rollout_err_mean)
+    kept = [c for c in report.cells if not c.excluded]
+    assert all(math.isfinite(c.coef_err_mean) for c in kept)
+    first = [c for c in kept if c.noise == 0.1]
+    slope = np.polyfit([math.log(c.n) for c in first],
+                       [math.log(c.coef_err_mean) for c in first], 1)[0]
+    assert report.slope_n == pytest.approx(slope, rel=1e-9)
+    ratios = [hi.coef_err_mean / lo.coef_err_mean for lo, hi in zip(kept[:2], kept[2:])]
+    assert report.s_ratio == pytest.approx(np.mean(ratios), rel=1e-12)
+
+
+@pytest.mark.parametrize("n_values, match", [([1000], "distinct"), ([100, 100], "distinct"),
+                                              ([8, 100], "well-conditioned")])
+def test_scaling_needs_two_usable_sample_counts(n_values, match):
+    with pytest.raises(evaluation.EvaluationError, match=match):
+        evaluation.theory_scaling_experiment(n_values=n_values, noise_values=[0.1], trials=20)
 
 
 def test_scaling_report_identical_for_one_and_two_workers(monkeypatch):
