@@ -166,10 +166,12 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _parse_windows(spec: str) -> list[tuple[int, int]]:
-    out = []
-    for part in spec.split(","):
-        lo, hi = part.split(":")
-        out.append((int(lo), int(hi)))
+    try:
+        out = [(int(lo), int(hi)) for lo, hi in (part.split(":") for part in spec.split(","))]
+    except ValueError:
+        out = []
+    if not out or not all(0 <= lo < hi for lo, hi in out):
+        raise UsageError(f"--windows expects lo:hi pairs with 0 <= lo < hi, got {spec!r}")
     return out
 
 
@@ -199,12 +201,15 @@ def _checkpoint_field(model: shred.ShredModel, path) -> tuple[data.Field, list[i
 
 
 def cmd_forecast(args) -> int:
+    for flag, value in (("--horizon", args.horizon), ("--start", args.start)):
+        if value < 0:
+            raise UsageError(f"{flag} must be >= 0, got {value}")
     model, _, _ = shred.load_checkpoint(args.checkpoint)
     fld, sensors = _checkpoint_field(model, args.field)
     lag = model.config.lag
     start = args.start
     if start + lag > fld.n_frames:
-        raise UsageError(f"start {start} + lag {lag} exceeds {fld.n_frames} frames")
+        raise UsageError(f"--start {start} + lag {lag} exceeds {fld.n_frames} frames")
     init_window = fld.data[start:start + lag][:, sensors]
 
     report = evaluation.forecast(model, init_window, args.horizon)
@@ -214,6 +219,9 @@ def cmd_forecast(args) -> int:
     truncated = n_eval < report.predictions.shape[0]
     windows = _parse_windows(args.windows) if args.windows else [(0, n_eval)]
     clipped = [(lo, min(hi, n_eval)) for lo, hi in windows if lo < n_eval]
+    if not clipped:
+        raise UsageError(f"--windows {args.windows}: no window starts within the "
+                         f"{n_eval} forecast frames")
     truth = fld.data[t0:t0 + n_eval]
     rows, total = evaluation.horizon_mse(report.predictions[:n_eval], truth, clipped)
     report.mse_rows, report.total_mse = rows, total

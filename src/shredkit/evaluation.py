@@ -477,7 +477,8 @@ def theory_scaling_experiment(n_values: list[int] | None = None,
 
     return ScalingReport(cells=cells, slope_n=slope, slope_n_ci=slope_ci,
                          s_ratio=s_ratio, s_ratio_ci=s_ratio_ci,
-                         lambda_min_overall=float(min(c.lambda_min_ratio for c in cells)))
+                         lambda_min_overall=float(min(c.lambda_min_ratio for c in cells
+                                                      if not c.excluded)))
 
 
 # ---------------------------------------------------------------------------

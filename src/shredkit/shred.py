@@ -15,6 +15,7 @@ import math
 import numbers
 import os
 import struct
+import sys
 import time
 import warnings
 import zlib
@@ -117,6 +118,17 @@ class ShredConfig:
             value = getattr(self, f.name)
             if not _FIELD_CHECKS[f.type](value):
                 raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+        # JSON admits NaN, Infinity and ints beyond float range; a real field
+        # must hold a finite float.
+        reals = [(f.name, getattr(self, f.name)) for f in fields(self)
+                 if f.type in ("float", "float | None")]
+        for name, value in reals + [("trig", freq) for _, freq in self.trig]:
+            if value is not None and not abs(value) <= sys.float_info.max:
+                raise ConfigError(f"{name} must be finite, got {value}")
+        if self.sindy_loss_weight < 0:
+            raise ConfigError(f"sindy_loss_weight must be >= 0, got {self.sindy_loss_weight}")
+        if self.grad_clip is not None and self.grad_clip <= 0:
+            raise ConfigError(f"grad_clip must be null or > 0, got {self.grad_clip}")
         positive = {"lag": self.lag, "latent_dim": self.latent_dim,
                     "batch_size": self.batch_size, "learning_rate": self.learning_rate,
                     "dt": self.dt, "ministeps": self.ministeps,
@@ -218,6 +230,10 @@ class ShredModel:
         if self.K is not None:
             names.add("K")
         return names
+
+    def dynamics_live(self) -> bool:
+        """Whether the dynamics still act: a Koopman map, or any unpruned term."""
+        return self.K is not None or any(m.any() for m in self.masks)
 
     def member(self, i: int) -> SindyModel:
         xi = np.where(self.masks[i], self.xi[i].data, 0.0)
@@ -458,9 +474,11 @@ def train(dataset: WindowedDataset, config: ShredConfig,
     The log records epoch, mean loss terms, per-member active-term counts, and
     wall time. With ``resume_from`` pointing at a checkpoint, training
     continues from the stored epoch and reproduces an uninterrupted run
-    exactly, with one exception: under ``refit_on_prune`` a run ends with a
-    refit, which its checkpoint keeps, so only a checkpoint saved at a prune
-    epoch resumes exactly. Koopman runs never prune.
+    exactly, also after a prune that left every member null: whether the
+    dynamics still act is read from the stored masks. The one exception:
+    under ``refit_on_prune`` a run ends with a refit, which its checkpoint
+    keeps, so only a checkpoint saved at a prune epoch resumes exactly.
+    Koopman runs never prune.
     """
     config.validate()
     if dataset.n_windows < 2:
@@ -484,13 +502,12 @@ def train(dataset: WindowedDataset, config: ShredConfig,
         raise ConfigError("training split has no adjacent window pairs")
 
     log: list[dict] = []
-    dynamics_enabled = True
     for epoch in range(start_epoch + 1, config.epochs + 1):
         t0 = time.perf_counter()
         in_warmup = epoch <= config.warmup_epochs
         if config.mode == "sindy" and epoch == config.warmup_epochs + 1:
             _initial_xi_estimate(model, dataset)
-        use_dynamics = (dynamics_enabled and not in_warmup
+        use_dynamics = (model.dynamics_live() and not in_warmup
                         and config.sindy_loss_weight > 0)
         shuffle_rng = rng_for(config.seed, 1, epoch)
         order = shuffle_rng.permutation(starts_pool)
@@ -531,23 +548,19 @@ def train(dataset: WindowedDataset, config: ShredConfig,
         joint_epoch = epoch - config.warmup_epochs
         if config.mode == "sindy":
             if joint_epoch > 0 and joint_epoch % config.threshold_interval == 0:
+                was_live = model.dynamics_live()
                 record["nnz"] = _prune_members(model)
                 record["pruned"] = True
-                if dynamics_enabled and all(n == 0 for n in record["nnz"]):
+                if was_live and not model.dynamics_live():
                     warnings.warn("every ensemble member pruned to the null model; "
                                   "continuing with reconstruction loss only", stacklevel=2)
-                    dynamics_enabled = False
-                # The refit after the loop serves the final epoch's event.
-                if config.refit_on_prune and dynamics_enabled and epoch < config.epochs:
-                    _refit(model, dataset)
             else:
                 record["nnz"] = [int(m.sum()) for m in model.masks]
+        if (config.refit_on_prune and ("pruned" in record or epoch == config.epochs)
+                and model.dynamics_live()):
+            _refit(model, dataset)
         record["wall_time"] = time.perf_counter() - t0
         log.append(record)
-
-    # dynamics_enabled only drops in sindy mode, once every member is null.
-    if config.refit_on_prune and config.epochs > start_epoch and dynamics_enabled:
-        _refit(model, dataset)
 
     if config.epochs > 0 and model.xi:
         latents = _selection_latents(model, dataset)

@@ -128,6 +128,14 @@ def test_train_wrongly_typed_config_exit_2(modal_dir, tmp_path, capsys, over):
     assert f"error: {next(iter(over))} must be" in capsys.readouterr().err
 
 
+def test_train_negative_grad_clip_exit_2(modal_dir, tmp_path, capsys):
+    cfg_path = _run_config(modal_dir, tmp_path / "clip", grad_clip=-1)
+    assert main(["train", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grad_clip must be null or > 0") and err.count("\n") == 1
+    assert not (tmp_path / "clip" / "model.shrd").exists()
+
+
 def test_train_negative_sensor_index_exit_2(modal_dir, tmp_path, capsys):
     sensor_file = tmp_path / "sensors.csv"
     sensor_file.write_text("-1\n5\n9\n")
@@ -287,6 +295,35 @@ def test_forecast_held_out_outside_field_exit_2(modal_dir, trained_dir, tmp_path
     assert code == 2
     assert f"held-out sensor {index} " in capsys.readouterr().err
     assert not (tmp_path / "traces.csv").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--horizon", "-1"], "--horizon"),
+    (["--horizon", "20", "--start", "-260"], "--start"),
+    (["--horizon", "20", "--start", "-30"], "--start"),
+    (["--horizon", "20", "--start", "253"], "--start"),
+    (["--horizon", "20", "--windows", "50:60"], "--windows"),
+    (["--horizon", "20", "--windows", "0:10,abc"], "--windows"),
+    (["--horizon", "20", "--windows", "1:2:3"], "--windows"),
+    (["--horizon", "20", "--windows", "10:5"], "--windows"),
+    (["--horizon", "20", "--windows", "0:x"], "--windows"),
+])
+def test_forecast_malformed_input_exit_2(modal_dir, trained_dir, tmp_path, capsys, argv, flag):
+    code = main(["forecast", "--checkpoint", str(trained_dir / "model.shrd"),
+                 "--field", str(modal_dir / "field.fld"), "--out", str(tmp_path), *argv])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+    assert not (tmp_path / "forecast.json").exists()
+
+
+def test_forecast_zero_horizon_scores_the_initial_frame(modal_dir, trained_dir, tmp_path):
+    code = main(["forecast", "--checkpoint", str(trained_dir / "model.shrd"),
+                 "--field", str(modal_dir / "field.fld"), "--horizon", "0",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    payload = json.loads((tmp_path / "forecast.json").read_text())
+    assert [r["window"] for r in payload["mse_rows"]] == [[0, 1]]
 
 
 def test_forecast_missing_checkpoint_exit_2(modal_dir, tmp_path):

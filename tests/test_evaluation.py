@@ -598,6 +598,8 @@ def test_scaling_excludes_ill_conditioned_cells():
     assert report.slope_n == pytest.approx(slope, rel=1e-9)
     ratios = [hi.coef_err_mean / lo.coef_err_mean for lo, hi in zip(kept[:2], kept[2:])]
     assert report.s_ratio == pytest.approx(np.mean(ratios), rel=1e-12)
+    # The excluded cells' singular Gram has a round-off lambda_min that no fit used.
+    assert report.lambda_min_overall == min(c.lambda_min_ratio for c in kept) > 0
 
 
 @pytest.mark.parametrize("n_values, match", [([1000], "distinct"), ([100, 100], "distinct"),

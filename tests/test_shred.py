@@ -373,11 +373,27 @@ def test_config_rejects_wrong_types(name, value):
 
 
 def test_config_accepts_ints_for_floats_and_lists_for_tuples():
-    cfg = ShredConfig.from_dict({"dt": 1, "grad_clip": 5, "gru_hidden": None,
-                                 "decoder_widths": [12, 8], "trig": [["sin", 1]]})
+    cfg = ShredConfig.from_dict({"dt": 1, "grad_clip": 5, "sindy_loss_weight": 0,
+                                 "gru_hidden": None, "decoder_widths": [12, 8],
+                                 "trig": [["sin", 1]]})
     assert cfg.decoder_widths == (12, 8)
     assert cfg.trig == (("sin", 1.0),) and isinstance(cfg.trig[0][1], float)
     assert ShredConfig.from_dict(cfg.to_dict()) == cfg
+
+
+@pytest.mark.parametrize("name, value", [
+    ("grad_clip", -1.0), ("grad_clip", 0.0), ("grad_clip", 0), ("grad_clip", float("nan")),
+    ("grad_clip", float("inf")), ("sindy_loss_weight", -1.0),
+    ("sindy_loss_weight", float("inf")), ("learning_rate", float("nan")),
+    ("learning_rate", float("inf")), ("weight_decay", float("nan")),
+    ("threshold_low", float("nan")), ("threshold_high", float("inf")),
+    ("dt", float("nan")), ("dropout", float("nan")),
+    pytest.param("learning_rate", 10 ** 400, id="learning_rate-int-beyond-float"),
+    ("trig", [["sin", float("nan")]]), ("trig", [["cos", float("-inf")]]),
+])
+def test_config_rejects_values_that_give_wrong_answers(name, value):
+    with pytest.raises(shred.ConfigError, match=name):
+        ShredConfig.from_dict({name: value})
 
 
 def test_config_from_dict_rejects_non_object():
@@ -594,6 +610,7 @@ def test_checkpoint_header_missing_key_raises(tmp_path, mode, key):
     ("selected_index", True), ("selected_index", 2), ("selected_index", -1),
     ("adam_step", 1.5), ("adam_step", -1), ("epoch", "0"), ("epoch", None), ("extra", [1]),
     ("thresholds", [-0.2, 2.0]), ("thresholds", [float("nan"), 2.0]),
+    ("config", {"grad_clip": -1.0}), ("config", {"learning_rate": float("nan")}),
 ])
 def test_checkpoint_header_bad_value_raises(tmp_path, key, value):
     path = tmp_path / "m.shrd"
@@ -707,3 +724,26 @@ def test_resume_from_prune_epoch_with_refit_equals_uninterrupted(tmp_path):
     # Epoch 4 is a prune epoch, so the stopped run's closing refit is the refit
     # the uninterrupted run makes after that prune.
     _assert_resume_equals_uninterrupted(tmp_path, stop=4, refit_on_prune=True)
+
+
+def test_resume_after_all_null_prune_equals_uninterrupted(tmp_path):
+    # Epoch 1 prunes every member to null; the resumed run must keep the
+    # dynamics off, as the stored masks say, and not warn again.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _assert_resume_equals_uninterrupted(tmp_path, stop=2, epochs=4, threshold_interval=1,
+                                            threshold_low=50.0, threshold_high=100.0)
+    null = [w for w in caught if "null model" in str(w.message)]
+    assert len(null) == 2  # the uninterrupted run and the stopped run, not the resume
+
+
+def test_resume_inside_warmup_equals_uninterrupted(tmp_path, monkeypatch):
+    # The initial estimate at the first joint epoch runs after the resume, and
+    # the prune at epoch 4 leaves every member some terms.
+    estimate = shred._initial_xi_estimate
+    calls = []
+    monkeypatch.setattr(shred, "_initial_xi_estimate",
+                        lambda model, ds: calls.append(1) or estimate(model, ds))
+    _assert_resume_equals_uninterrupted(tmp_path, stop=1, warmup_epochs=2,
+                                        threshold_low=0.01, threshold_high=0.1)
+    assert len(calls) == 2  # the uninterrupted run and the resumed one
