@@ -54,9 +54,16 @@ def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
+    if args.frames < 1:
+        raise UsageError(f"--frames must be >= 1, got {args.frames}")
+    if not 0 <= args.noise < math.inf:
+        raise UsageError(f"--noise must be finite and >= 0, got {args.noise}")
     out = _ensure_out(args.out)
     if args.kind == "modal":
         modes = json.loads(args.modes)
+        if not (isinstance(modes, list) and modes):
+            raise UsageError(f"--modes must be a non-empty JSON list of [pattern, amplitude, "
+                             f"omega, phase], got {args.modes!r}")
         fld, meta = data.gen_modal_field(grid=tuple(args.grid), modes=[tuple(m) for m in modes],
                                          n_frames=args.frames, dt=args.dt,
                                          noise=args.noise, seed=args.seed)
@@ -99,7 +106,11 @@ def load_run_config(path) -> dict:
     for key in ("field", "train", "out_dir"):
         if key not in cfg:
             raise UsageError(f"run config missing required key {key!r}")
-    _check_keys(cfg.get("sensors", {}), _SENSOR_KEYS, "sensors config")
+    sensors = cfg.get("sensors", {})
+    _check_keys(sensors, _SENSOR_KEYS, "sensors config")
+    count = sensors.get("count")
+    if "sensors" in cfg and "file" not in sensors and not (type(count) is int and count >= 1):
+        raise UsageError(f"sensors.count must be an integer >= 1, got {count!r}")
     if not Path(cfg["field"]).exists():
         raise UsageError(f"field file not found: {cfg['field']}")
     return cfg
@@ -116,7 +127,7 @@ def _prepare_dataset(cfg: dict, train_cfg: shred.ShredConfig):
     if "file" in sensors_cfg:
         sensors = data.load_sensor_csv(sensors_cfg["file"])
     else:
-        sensors = data.select_sensors(fld, count=int(sensors_cfg["count"]),
+        sensors = data.select_sensors(fld, count=sensors_cfg["count"],
                                       seed=int(sensors_cfg.get("seed", train_cfg.seed)),
                                       drop_constant=bool(sensors_cfg.get("drop_constant", False)))
     splits = tuple(cfg.get("splits", (0.7, 0.1, 0.2)))
@@ -445,7 +456,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (shred.NumericalAbortError, sindy.RolloutDivergenceError) as exc:
+    except (shred.NumericalAbortError, sindy.RolloutDivergenceError, FloatingPointError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (UsageError, shred.ConfigError, shred.CheckpointError, shred.SelectionError,

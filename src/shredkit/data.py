@@ -41,8 +41,11 @@ class Field:
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.ndim != 2:
-            raise FieldFormatError(f"field data must be (T, N), got {self.data.shape}")
+        if self.data.ndim != 2 or 0 in self.data.shape:
+            raise FieldFormatError(
+                f"field data must be (T, N) with T, N >= 1, got {self.data.shape}")
+        if not 0 < self.dt_physical < np.inf:
+            raise FieldFormatError(f"dt_physical must be finite and > 0, got {self.dt_physical}")
         if self.grid_shape is not None:
             self.grid_shape = tuple(int(x) for x in self.grid_shape)
             if int(np.prod(self.grid_shape)) != self.data.shape[1]:
@@ -168,9 +171,18 @@ def select_sensors(fld: Field, count: int, seed: int, drop_constant: bool = Fals
 
 def load_sensor_csv(path) -> SensorSet:
     """One 0-based index per line; user-specified placements carry seed -1."""
+    idx = []
     with open(path) as f:
-        idx = sorted(int(line.strip()) for line in f if line.strip())
-    return SensorSet(indices=tuple(idx), seed=-1)
+        for number, line in enumerate(f, 1):
+            if line.strip():
+                try:
+                    idx.append(int(line))
+                except ValueError:
+                    raise SensorSelectionError(f"{path}, line {number}: {line.strip()!r} is "
+                                               "not an integer sensor index") from None
+    if not idx:
+        raise SensorSelectionError(f"{path} lists no sensor indices")
+    return SensorSet(indices=tuple(sorted(idx)), seed=-1)
 
 
 @dataclass
@@ -320,8 +332,9 @@ class PendulumCoeffs:
 def simulate_pendulum(theta0: float, omega0: float, coeffs: PendulumCoeffs,
                       n_frames: int, dt: float) -> np.ndarray:
     """Reference RK4 trajectory of (angle, angular velocity), shape (n_frames, 2)."""
-    if dt > 1.0 / 30.0 + 1e-12:
-        raise ValueError("dt too large for a stable reference integration (need dt <= 1/30)")
+    if not 0 < dt <= 1.0 / 30.0 + 1e-12:
+        raise ValueError(f"pendulum dt must be in (0, 1/30] for a stable reference "
+                         f"integration, got {dt}")
 
     def deriv(y):
         z, v = y

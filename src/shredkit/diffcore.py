@@ -6,9 +6,9 @@ reverse sweep. All math is numpy under the hood; tensors of any rank are
 supported, with limited broadcasting (standard numpy rules) on elementwise
 primitives and stacked batching on matmul.
 
-The primitives are elementwise (add, sub, hadamard, scale, sigmoid, tanh,
-relu), reductions (sum, mean, mse), matmul and shape moves (concat,
-slice_axis, gather_rows, reshape). ``gru_sequence`` fuses a whole GRU layer
+The primitives are the ones the program runs: elementwise (add, hadamard,
+scale, relu), the mse reduction, matmul and shape moves (concat, slice_axis,
+gather_rows, reshape). ``gru_sequence`` fuses a whole GRU layer
 over all time steps into one tape node with a hand-derived backward through
 time; ``sindy.library_features`` builds its library node with ``_node`` the
 same way.
@@ -80,34 +80,13 @@ class Tensor:
     def __add__(self, other):
         return _add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return _add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return _sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return _sub(_as_tensor(other), self)
-
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return scale(self, float(other))
         return _hadamard(self, _as_tensor(other))
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
     def __matmul__(self, other):
         return _matmul(self, _as_tensor(other))
-
-    def sum(self):
-        return _sum(self)
-
-    def mean(self):
-        return _mean(self)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -163,16 +142,6 @@ def _add(a: Tensor, b: Tensor) -> Tensor:
     return _node("add", out, (a, b), backward)
 
 
-def _sub(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape("sub", a, b)
-    out = a.data - b.data
-
-    def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return _node("sub", out, (a, b), backward)
-
-
 def _hadamard(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape("hadamard", a, b)
     out = a.data * b.data
@@ -201,24 +170,6 @@ def _matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node("matmul", out, (a, b), backward)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    out = 1.0 / (1.0 + np.exp(-a.data))
-
-    def backward(g):
-        return (g * out * (1.0 - out),)
-
-    return _node("sigmoid", out, (a,), backward)
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-
-    def backward(g):
-        return (g * (1.0 - out * out),)
-
-    return _node("tanh", out, (a,), backward)
-
-
 def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0.0)
 
@@ -226,25 +177,6 @@ def relu(a: Tensor) -> Tensor:
         return (g * (a.data > 0.0),)
 
     return _node("relu", out, (a,), backward)
-
-
-def _sum(a: Tensor) -> Tensor:
-    out = np.asarray(a.data.sum())
-
-    def backward(g):
-        return (np.broadcast_to(g, a.shape).copy(),)
-
-    return _node("sum", out, (a,), backward)
-
-
-def _mean(a: Tensor) -> Tensor:
-    out = np.asarray(a.data.mean())
-    n = a.data.size
-
-    def backward(g):
-        return (np.broadcast_to(g / n, a.shape).copy(),)
-
-    return _node("mean", out, (a,), backward)
 
 
 def mse(a: Tensor, b) -> Tensor:

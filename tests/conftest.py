@@ -5,23 +5,23 @@ import pytest
 
 from shredkit import diffcore as dc
 from shredkit.nets import GruLayerParams, WidthMismatchError
+from tape_ops import sigmoid, sub, tanh
 
 
 def _gru_cell(x, h_prev, layer: GruLayerParams):
     """One gated step on tape tensors: x is (batch, in), h_prev is (batch, hidden).
 
     The per-step transcription of the GRU equations that ``nets`` documents,
-    built from diffcore primitives.
+    built from diffcore primitives and the test-side gates in ``tape_ops``.
     """
     if x.shape[-1] != layer.W_u.shape[0]:
         raise WidthMismatchError(f"gru_cell: input width {x.shape[-1]} != {layer.W_u.shape[0]}")
     if h_prev.shape[-1] != layer.U_u.shape[0]:
         raise WidthMismatchError(f"gru_cell: hidden width {h_prev.shape[-1]} != {layer.U_u.shape[0]}")
-    u = dc.sigmoid(x @ layer.W_u + h_prev @ layer.U_u + layer.b_u)
-    r = dc.sigmoid(x @ layer.W_r + h_prev @ layer.U_r + layer.b_r)
-    cand = dc.tanh(x @ layer.W_h + (r * h_prev) @ layer.U_h + layer.b_h)
-    one_minus_u = 1.0 - u
-    return one_minus_u * h_prev + u * cand
+    u = sigmoid(x @ layer.W_u + h_prev @ layer.U_u + layer.b_u)
+    r = sigmoid(x @ layer.W_r + h_prev @ layer.U_r + layer.b_r)
+    cand = tanh(x @ layer.W_h + (r * h_prev) @ layer.U_h + layer.b_h)
+    return sub(1.0, u) * h_prev + u * cand
 
 
 @pytest.fixture

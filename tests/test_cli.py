@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shlex
+import struct
 import subprocess
 import sys
 import warnings
@@ -84,6 +85,55 @@ def test_generate_invalid_kind_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, words", [
+    (["modal", "--grid", "0", "0"], "(T, N) with T, N >= 1"),
+    (["modal", "--dt", "nan"], "dt_physical must be finite"),
+    (["modal", "--noise", "-1"], "--noise must be finite and >= 0"),
+    (["modal", "--noise", "nan"], "--noise must be finite and >= 0"),
+    (["modal", "--modes", "[]"], "--modes must be a non-empty JSON list"),
+    (["modal", "--modes", "{}"], "--modes must be a non-empty JSON list"),
+    (["pendulum", "--frames", "0"], "--frames must be >= 1"),
+    (["sine", "--frames", "-3"], "--frames must be >= 1"),
+    (["pendulum", "--dt", "nan"], "pendulum dt must be in (0, 1/30]"),
+])
+def test_generate_malformed_input_exit_2(tmp_path, capsys, argv, words):
+    out = tmp_path / "gen"
+    assert main(["generate", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and words in err[0]
+    assert not (out / "field.fld").exists()
+
+
+def test_generate_diverging_pendulum_exit_3(tmp_path, capsys):
+    out = tmp_path / "gen"
+    assert main(["generate", "pendulum", "--theta0", "inf", "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["numerical abort: pendulum trajectory diverged"]
+    assert not (out / "field.fld").exists()
+
+
+def _fld1_header(t, n, dt):
+    """An FLD1 v1 header with no grid and no scale, as ``data.save_field`` writes it."""
+    return data.MAGIC + struct.pack("<IBQQdBdd", data.VERSION, 0, t, n, dt, 0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("t, n, dt, words", [
+    (50, 0, 0.02, "(T, N) with T, N >= 1"),
+    (0, 36, 0.02, "(T, N) with T, N >= 1"),
+    (260, 36, float("nan"), "dt_physical must be finite and > 0, got nan"),
+    (260, 36, 0.0, "dt_physical must be finite and > 0, got 0.0"),
+])
+def test_forecast_unusable_field_header_exit_2(modal_dir, trained_dir, tmp_path, capsys,
+                                               t, n, dt, words):
+    payload = data.load_field(modal_dir / "field.fld").data[:t, :n].astype("<f4").tobytes()
+    fld = tmp_path / "bad.fld"
+    fld.write_bytes(_fld1_header(t, n, dt) + payload)
+    code = main(["forecast", "--checkpoint", str(trained_dir / "model.shrd"),
+                 "--field", str(fld), "--horizon", "5", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and len(err) == 1 and words in err[0]
+
+
 def test_train_writes_artifacts(modal_dir, tmp_path):
     cfg_path = _run_config(modal_dir, tmp_path / "run")
     code = main(["train", str(cfg_path)])
@@ -149,6 +199,39 @@ def test_train_negative_sensor_index_exit_2(modal_dir, tmp_path, capsys):
     assert main(["train", str(p)]) == 2
     assert "negative" in capsys.readouterr().err
     assert not (out / "model.shrd").exists()
+
+
+@pytest.mark.parametrize("sensors", [{"count": 0}, {"count": -2}, {"count": 2.7},
+                                     {"count": "abc"}, {"count": True}, {"seed": 2}])
+def test_train_unusable_sensor_count_exit_2(modal_dir, tmp_path, capsys, sensors):
+    cfg_path = _run_config(modal_dir, tmp_path / "count", epochs=1)
+    cfg = json.loads(cfg_path.read_text())
+    cfg["sensors"] = sensors
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["train", str(cfg_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: sensors.count must be an integer >= 1, got "
+                   f"{sensors.get('count')!r}"]
+    assert not (tmp_path / "count" / "model.shrd").exists()
+
+
+@pytest.mark.parametrize("text, words", [
+    ("", " lists no sensor indices"),
+    ("\n  \n", " lists no sensor indices"),
+    ("3\n1.5\n9\n", ", line 2: '1.5' is not an integer sensor index"),
+    ("3\n\nseven\n", ", line 3: 'seven' is not an integer sensor index"),
+], ids=["empty", "blank-lines", "float", "word"])
+def test_train_unusable_sensor_file_exit_2(modal_dir, tmp_path, capsys, text, words):
+    sensor_file = tmp_path / "sensors.csv"
+    sensor_file.write_text(text)
+    cfg_path = _run_config(modal_dir, tmp_path / "file", epochs=1)
+    cfg = json.loads(cfg_path.read_text())
+    cfg["sensors"] = {"file": str(sensor_file)}
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["train", str(cfg_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {sensor_file}{words}"]
+    assert not (tmp_path / "file" / "model.shrd").exists()
 
 
 def test_train_numerical_abort_exit_3(modal_dir, tmp_path):

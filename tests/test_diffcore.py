@@ -7,6 +7,7 @@ from shredkit import diffcore as dc
 from shredkit import nets, sindy
 from shredkit.diffcore import Tensor
 from shredkit.sindy import LibrarySpec
+from tape_ops import mean, sigmoid, sub, tanh, total
 
 
 def test_matmul_example():
@@ -15,7 +16,7 @@ def test_matmul_example():
 
 
 def test_tanh_zero():
-    out = dc.tanh(Tensor(np.zeros(3)))
+    out = tanh(Tensor(np.zeros(3)))
     assert np.array_equal(out.data, np.zeros(3))
 
 
@@ -31,7 +32,7 @@ def test_shape_mismatch_names_primitive():
 
 def test_backward_square_sum():
     w = Tensor([1.0, 2.0], requires_grad=True)
-    dc.backward((w * w).sum())
+    dc.backward(total(w * w))
     assert np.array_equal(w.grad, [2.0, 4.0])
 
 
@@ -62,7 +63,7 @@ def test_three_layer_tanh_net_matches_finite_differences():
     def f():
         h = Tensor(x)
         for W, b in zip(Ws, bs):
-            h = dc.tanh(h @ W + b)
+            h = tanh(h @ W + b)
         return dc.mse(h, Tensor(y))
 
     assert dc.finite_diff_check(f, Ws + bs, h=1e-6) < 1e-6
@@ -188,9 +189,36 @@ def test_gru_sequence_is_one_node_and_skips_constant_input_gradient():
     out = dc.gru_sequence(x, *layer.tensors().values())
     assert out.shape == (2, 6, 4) and out.op == "gru_sequence"
     assert out.parents[0] is x
-    dc.backward(out.sum())
+    dc.backward(total(out))
     assert x.grad is None
     assert all(t.grad.shape == t.shape for t in layer.tensors().values())
+
+
+def test_gru_sequence_matches_cell_oracle_over_discovery_lag(gru_cell):
+    # The discovery recipe's shapes: 25 sensors, lag 26, width 4. Errors that
+    # grow along the recurrence would show here first.
+    B, L, S, H = 3, 26, 25, 4
+    rng = np.random.default_rng(29)
+    layer = nets.init_gru(rng, input_size=S, hidden_sizes=[H]).layers[0]
+    x_data, target = rng.standard_normal((B, L, S)), rng.standard_normal((B, L, H))
+
+    def per_step(x):
+        h, hs = Tensor(np.zeros((B, H))), []
+        for t in range(L):
+            h = gru_cell(dc.reshape(dc.slice_axis(x, 1, t, t + 1), (B, S)), h, layer)
+            hs.append(dc.reshape(h, (B, 1, H)))
+        return dc.concat(hs, axis=1)
+
+    results = []
+    for run in (per_step, lambda x: dc.gru_sequence(x, *layer.tensors().values())):
+        x = Tensor(x_data, requires_grad=True)
+        seq = run(x)
+        dc.backward(dc.mse(seq, Tensor(target)))
+        results.append([seq.data, x.grad] + [t.grad for t in layer.tensors().values()])
+        for t in layer.tensors().values():
+            t.zero_grad()
+    for ref, got in zip(*results):
+        assert np.max(np.abs(got - ref)) / max(1.0, np.max(np.abs(ref))) < 1e-12
 
 
 def test_gru_sequence_shape_mismatch():
@@ -221,7 +249,7 @@ def test_finite_diff_rejects_bad_h():
 
 
 def _random_primitive_loss(rng):
-    """Build (loss_fn, params) exercising one randomly chosen primitive."""
+    """Build (loss_fn, params) exercising one randomly chosen primitive or ``tape_ops`` op."""
     kind = rng.choice(["add", "sub", "hadamard", "matmul", "sigmoid", "tanh", "relu",
                        "sum", "mean", "mse", "scale", "library",
                        "concat", "slice", "reshape"])
@@ -237,19 +265,19 @@ def _random_primitive_loss(rng):
         tmn = Tensor(rng.standard_normal((m, n)))
         return lambda: dc.mse(a @ b, tmn), [a, b]
     if kind in ("add", "sub", "hadamard"):
-        fn = {"add": lambda: a + b, "sub": lambda: a - b, "hadamard": lambda: a * b}[kind]
+        fn = {"add": lambda: a + b, "sub": lambda: sub(a, b), "hadamard": lambda: a * b}[kind]
         return lambda: dc.mse(fn(), t), [a, b]
     if kind in ("sigmoid", "tanh"):
-        op = getattr(dc, kind)
+        op = {"sigmoid": sigmoid, "tanh": tanh}[kind]
         return lambda: dc.mse(op(a), t), [a]
     if kind == "relu":
         # Keep values away from the kink where central differences are invalid.
         a = Tensor(rng.uniform(0.2, 1.5, shape) * rng.choice([-1, 1], shape), requires_grad=True)
         return lambda: dc.mse(dc.relu(a), t), [a]
     if kind == "sum":
-        return lambda: a.sum() * a.sum(), [a]
+        return lambda: total(a) * total(a), [a]
     if kind == "mean":
-        return lambda: a.mean() * a.mean(), [a]
+        return lambda: mean(a) * mean(a), [a]
     if kind == "mse":
         return lambda: dc.mse(a, b), [a, b]
     if kind == "scale":
@@ -315,7 +343,7 @@ def test_gather_rows_sums_duplicate_row_gradients():
     out = dc.gather_rows(a, np.array([2, 0, 2, 2]))
     assert np.array_equal(out.data, [[4.0, 5.0], [0.0, 1.0], [4.0, 5.0], [4.0, 5.0]])
     g = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
-    dc.backward((out * Tensor(g)).sum())
+    dc.backward(total(out * Tensor(g)))
     assert np.array_equal(a.grad, [[3.0, 4.0], [0.0, 0.0], [13.0, 16.0]])
 
 
@@ -355,8 +383,8 @@ def test_backward_linearity():
 
 def test_grad_accumulates_across_backwards():
     w = Tensor([1.0, 2.0], requires_grad=True)
-    dc.backward((w * w).sum())
-    dc.backward((w * w).sum())
+    dc.backward(total(w * w))
+    dc.backward(total(w * w))
     assert np.array_equal(w.grad, [4.0, 8.0])
 
 
