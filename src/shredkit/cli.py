@@ -49,6 +49,13 @@ def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
         raise UsageError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _is_mode(entry) -> bool:
+    """A JSON ``[pattern, amplitude, omega, phase]``: an int >= 0, then three finite numbers."""
+    return (isinstance(entry, list) and len(entry) == 4
+            and type(entry[0]) is int and entry[0] >= 0
+            and all(type(v) in (int, float) and math.isfinite(v) for v in entry[1:]))
+
+
 # ---------------------------------------------------------------------------
 # generate
 # ---------------------------------------------------------------------------
@@ -58,12 +65,16 @@ def cmd_generate(args) -> int:
         raise UsageError(f"--frames must be >= 1, got {args.frames}")
     if not 0 <= args.noise < math.inf:
         raise UsageError(f"--noise must be finite and >= 0, got {args.noise}")
+    for flag, value in (("--theta0", args.theta0), ("--omega0", args.omega0)):
+        if not math.isfinite(value):
+            raise UsageError(f"{flag} must be finite, got {value}")
     out = _ensure_out(args.out)
     if args.kind == "modal":
         modes = json.loads(args.modes)
-        if not (isinstance(modes, list) and modes):
+        if not (isinstance(modes, list) and modes and all(map(_is_mode, modes))):
             raise UsageError(f"--modes must be a non-empty JSON list of [pattern, amplitude, "
-                             f"omega, phase], got {args.modes!r}")
+                             f"omega, phase], each an integer pattern >= 0 and three "
+                             f"finite numbers, got {args.modes!r}")
         fld, meta = data.gen_modal_field(grid=tuple(args.grid), modes=[tuple(m) for m in modes],
                                          n_frames=args.frames, dt=args.dt,
                                          noise=args.noise, seed=args.seed)
@@ -97,22 +108,42 @@ def cmd_generate(args) -> int:
 _RUN_KEYS = {"field", "sensors", "splits", "duplicate_tail_fraction", "standardize",
              "out_dir", "train"}
 _SENSOR_KEYS = {"count", "seed", "drop_constant", "file"}
+_PATH = (lambda v: isinstance(v, str), "a path string")
+_BOOL = (lambda v: isinstance(v, bool), "true or false")
+# Value checks by key; splits and duplicate_tail_fraction are data.make_windows's,
+# and the train block is ShredConfig's.
+_RUN_CHECKS = {"field": _PATH, "out_dir": _PATH, "standardize": _BOOL,
+               "sensors": (lambda v: isinstance(v, dict), "a JSON object")}
+_SENSOR_CHECKS = {"seed": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
+                  "drop_constant": _BOOL, "file": _PATH}
+
+
+def _check_values(obj: dict, checks: dict, where: str) -> None:
+    for key, (ok, want) in checks.items():
+        if key in obj and not ok(obj[key]):
+            raise UsageError(f"{where}{key} must be {want}, got {obj[key]!r}")
 
 
 def load_run_config(path) -> dict:
     with open(path) as f:
         cfg = json.load(f)
+    if not isinstance(cfg, dict):
+        raise UsageError(f"run config must be a JSON object, got {type(cfg).__name__}")
     _check_keys(cfg, _RUN_KEYS, "run config")
     for key in ("field", "train", "out_dir"):
         if key not in cfg:
             raise UsageError(f"run config missing required key {key!r}")
+    _check_values(cfg, _RUN_CHECKS, "")
     sensors = cfg.get("sensors", {})
     _check_keys(sensors, _SENSOR_KEYS, "sensors config")
     count = sensors.get("count")
     if "sensors" in cfg and "file" not in sensors and not (type(count) is int and count >= 1):
         raise UsageError(f"sensors.count must be an integer >= 1, got {count!r}")
+    _check_values(sensors, _SENSOR_CHECKS, "sensors.")
     if not Path(cfg["field"]).exists():
         raise UsageError(f"field file not found: {cfg['field']}")
+    if Path(cfg["out_dir"]).exists() and not Path(cfg["out_dir"]).is_dir():
+        raise UsageError(f"out_dir {cfg['out_dir']!r} names a file, not a directory")
     return cfg
 
 
@@ -128,11 +159,11 @@ def _prepare_dataset(cfg: dict, train_cfg: shred.ShredConfig):
         sensors = data.load_sensor_csv(sensors_cfg["file"])
     else:
         sensors = data.select_sensors(fld, count=sensors_cfg["count"],
-                                      seed=int(sensors_cfg.get("seed", train_cfg.seed)),
-                                      drop_constant=bool(sensors_cfg.get("drop_constant", False)))
-    splits = tuple(cfg.get("splits", (0.7, 0.1, 0.2)))
-    dataset = data.make_windows(fld, sensors, train_cfg.lag, splits=splits,
-                                duplicate_tail_fraction=float(cfg.get("duplicate_tail_fraction", 0.0)))
+                                      seed=sensors_cfg.get("seed", train_cfg.seed),
+                                      drop_constant=sensors_cfg.get("drop_constant", False))
+    dataset = data.make_windows(fld, sensors, train_cfg.lag,
+                                splits=cfg.get("splits", (0.7, 0.1, 0.2)),
+                                duplicate_tail_fraction=cfg.get("duplicate_tail_fraction", 0.0))
     return fld, sensors, dataset
 
 
@@ -461,8 +492,8 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except (UsageError, shred.ConfigError, shred.CheckpointError, shred.SelectionError,
             data.FieldFormatError, data.SensorSelectionError, data.DegenerateScaleError,
-            evaluation.EvaluationError, FileNotFoundError, json.JSONDecodeError,
-            ValueError) as exc:
+            evaluation.EvaluationError, FileNotFoundError, IsADirectoryError,
+            json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

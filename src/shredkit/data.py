@@ -9,6 +9,8 @@ values once, at the end of generation, so save/load round-trips are bit-exact.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import struct
 from dataclasses import dataclass, replace
 
@@ -122,6 +124,10 @@ def load_field(path) -> Field:
     if len(payload) > expected:
         raise FieldFormatError(f"{len(payload) - expected} trailing bytes after the payload")
     data = np.frombuffer(payload, dtype="<f4").reshape(t, n).astype(np.float64)
+    # A float32 payload cannot overflow a float64 sum, so the sum is finite iff every value is.
+    if not np.isfinite(data.sum()):
+        raise FieldFormatError(f"payload holds {np.count_nonzero(~np.isfinite(data))} "
+                               f"non-finite values of {t * n}")
     return Field(data=data, grid_shape=grid, dt_physical=dt_physical,
                  scale=(smin, smax) if has_scale else None)
 
@@ -191,7 +197,9 @@ class WindowedDataset:
 
     Window b covers frames [b, b+L) and its target is frame b+L-1, so adjacent
     windows give temporally consecutive latent pairs. Splits are contiguous
-    time blocks of window start indices.
+    time blocks of window start indices. ``inputs`` is a read-only strided
+    view of one (T, S) sensor series, so a gather ``inputs[idx]`` is the only
+    copy of a window; ``targets`` is a view of the field.
     """
 
     inputs: np.ndarray
@@ -209,15 +217,28 @@ class WindowedDataset:
         return self.inputs.shape[0]
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def make_windows(fld: Field, sensors: SensorSet, lag: int,
                  splits: tuple[float, float, float] = (0.7, 0.1, 0.2),
                  duplicate_tail_fraction: float = 0.0) -> WindowedDataset:
     """Build all T-L lag windows and contiguous train/validation/test splits.
 
-    ``duplicate_tail_fraction`` > 0 appends a copy of the last fraction of the
-    training block to the training indices (low-data augmentation knob; off by
-    default).
+    ``splits`` is three finite non-negative fractions that sum to 1 and leave
+    at least one training window. ``duplicate_tail_fraction`` in [0, 1]
+    appends a copy of the last fraction of the training block to the
+    training indices (low-data augmentation knob; off by default).
     """
+    if not (isinstance(splits, (list, tuple)) and len(splits) == 3
+            and all(_is_real(v) and 0 <= v < math.inf for v in splits)
+            and abs(sum(splits) - 1.0) <= 1e-9):
+        raise ValueError(f"splits must be three finite reals >= 0 that sum to 1, "
+                         f"got {splits!r}")
+    if not (_is_real(duplicate_tail_fraction) and 0 <= duplicate_tail_fraction <= 1):
+        raise ValueError(f"duplicate_tail_fraction must be a real in [0, 1], "
+                         f"got {duplicate_tail_fraction!r}")
     t, _ = fld.data.shape
     if t <= lag:
         raise FieldFormatError(f"need more frames than lag: T={t}, L={lag}")
@@ -225,17 +246,18 @@ def make_windows(fld: Field, sensors: SensorSet, lag: int,
     if idx.size and idx[-1] >= fld.n_space:
         raise SensorSelectionError(f"sensor index {idx[-1]} out of range")
     b = t - lag
-    sens = fld.data[:, idx]
-    inputs = np.stack([sens[s:s + lag] for s in range(b)], axis=0)
-    targets = fld.data[lag - 1:lag - 1 + b]
-    if abs(sum(splits) - 1.0) > 1e-9 or any(s < 0 for s in splits):
-        raise ValueError(f"splits must be nonnegative and sum to 1, got {splits}")
     n_train = int(round(splits[0] * b))
     n_val = int(round(splits[1] * b))
+    if n_train < 1:
+        raise ValueError(f"splits {splits!r} leave no training window of {b}")
+    # Window s is rows s..s+lag-1 of the one (T, S) sensor copy: no window is stored twice.
+    inputs = np.lib.stride_tricks.sliding_window_view(
+        fld.data[:, idx], lag, axis=0)[:b].transpose(0, 2, 1)
+    targets = fld.data[lag - 1:lag - 1 + b]
     train_idx = np.arange(0, n_train)
     val_idx = np.arange(n_train, min(n_train + n_val, b))
     test_idx = np.arange(min(n_train + n_val, b), b)
-    if duplicate_tail_fraction > 0 and train_idx.size:
+    if duplicate_tail_fraction > 0:
         tail = max(1, int(round(duplicate_tail_fraction * train_idx.size)))
         train_idx = np.concatenate([train_idx, train_idx[-tail:]])
     return WindowedDataset(inputs=inputs, targets=targets, lag=lag, sensors=sensors,
@@ -250,19 +272,15 @@ def make_windows(fld: Field, sensors: SensorSet, lag: int,
 def _grid_pattern(grid: tuple[int, int], pattern_id: int) -> np.ndarray:
     """Orthogonal smooth patterns: products of discrete sine modes, unit-normalized.
 
-    Pattern ids enumerate (p, q) wavenumber pairs diagonally: (1,1), (1,2),
-    (2,1), (2,2), (1,3), ... Distinct ids give exactly orthogonal vectors
-    under the discrete inner product.
+    Pattern ids enumerate (p, q) wavenumber pairs diagonally, by p + q and
+    then by p: (1,1), (1,2), (2,1), (1,3), (2,2), (3,1), ... Distinct ids
+    whose wavenumbers fit the grid give exactly orthogonal vectors under the
+    discrete inner product.
     """
     h, w = grid
-    pairs = []
-    s = 2
-    while len(pairs) <= pattern_id:
-        for p in range(1, s):
-            q = s - p
-            pairs.append((p, q))
-        s += 1
-    p, q = pairs[pattern_id]
+    diagonal = (math.isqrt(8 * pattern_id + 1) - 1) // 2   # p + q - 2
+    p = pattern_id - diagonal * (diagonal + 1) // 2 + 1
+    q = diagonal + 2 - p
     rows = np.sin(np.pi * p * (np.arange(h) + 1) / (h + 1))
     cols = np.sin(np.pi * q * (np.arange(w) + 1) / (w + 1))
     pat = np.outer(rows, cols).reshape(-1)

@@ -26,13 +26,14 @@ import scipy.linalg
 
 from . import diffcore as dc
 from . import nets, sindy
-from .data import WindowedDataset
+from .data import WindowedDataset, _is_real
 from .diffcore import Tensor
 from .nets import DecoderParams, GruParams
 from .sindy import LibrarySpec, SindyModel
 
 CKPT_MAGIC = b"SHRD"
 CKPT_VERSION = 1
+ENCODE_CHUNK = 512  # windows per evaluation-mode encode: bounds the gather and GRU buffers
 
 
 class ConfigError(ValueError):
@@ -59,10 +60,6 @@ class CheckpointError(RuntimeError):
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 # Accepted values per ShredConfig field annotation (kept as strings by the
@@ -284,12 +281,12 @@ class ShredModel:
         return out
 
     def encode_np(self, windows: np.ndarray) -> np.ndarray:
-        """Evaluation-mode latents for a (n, L, S) stack of windows, 512 at a time."""
+        """Evaluation-mode latents for a (n, L, S) stack of windows, ENCODE_CHUNK at a time."""
         windows = np.asarray(windows, dtype=np.float64)
         outs = []
         with dc.no_grad():
-            for s in range(0, windows.shape[0], 512):
-                outs.append(nets.encode_window(windows[s:s + 512], self.gru).data)
+            for s in range(0, windows.shape[0], ENCODE_CHUNK):
+                outs.append(nets.encode_window(windows[s:s + ENCODE_CHUNK], self.gru).data)
         return np.concatenate(outs, axis=0)
 
     def decode_np(self, z: np.ndarray) -> np.ndarray:
@@ -319,10 +316,15 @@ def init_model(config: ShredConfig, n_sensors: int, n_space: int) -> ShredModel:
 
 def _latents(model: ShredModel, dataset: WindowedDataset,
              idx: np.ndarray) -> np.ndarray | None:
-    """Evaluation-mode latents of the windows at ``idx``; None for fewer than three."""
+    """Evaluation-mode latents of the windows at ``idx``; None for fewer than three.
+
+    Windows are gathered from the strided view one ENCODE_CHUNK at a time,
+    so no copy of all the windows is ever held.
+    """
     if idx.size < 3:
         return None
-    return model.encode_np(dataset.inputs[idx])
+    return np.concatenate([model.encode_np(dataset.inputs[idx[s:s + ENCODE_CHUNK]])
+                           for s in range(0, idx.size, ENCODE_CHUNK)])
 
 
 def _initial_xi_estimate(model: ShredModel, dataset: WindowedDataset) -> None:

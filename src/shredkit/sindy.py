@@ -322,20 +322,28 @@ def _stlsq(theta: np.ndarray, dZ: np.ndarray, threshold: float, iters: int,
     return Xi, mask
 
 
-def sindy_cell(z: np.ndarray, model: SindyModel) -> np.ndarray:
+def sindy_cell(z: np.ndarray, model: SindyModel, Xi: np.ndarray | None = None) -> np.ndarray:
     """Advance state rows one frame via k explicit-Euler sub-steps of h = dt/k.
 
     ``z`` is (d,) or (n, d); an (E, p, d) Xi advances an (E, d) state, row e
     under member e, exactly as that member alone would (the library is made
-    row-major). Unchecked: a non-finite coordinate stays non-finite.
+    row-major). Unchecked: a non-finite coordinate stays non-finite. A caller
+    that steps many frames passes ``Xi = model.effective_Xi()`` and ignores
+    overflow and invalid values itself, as ``rollout`` does once per
+    trajectory; without ``Xi`` the call does both.
     """
+    if Xi is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _euler_substeps(z, model, model.effective_Xi())
+    return _euler_substeps(z, model, Xi)
+
+
+def _euler_substeps(z: np.ndarray, model: SindyModel, Xi: np.ndarray) -> np.ndarray:
     state = np.atleast_2d(np.asarray(z, dtype=np.float64))
     h = model.dt / model.k
-    Xi = model.effective_Xi()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(model.k):
-            theta = np.ascontiguousarray(evaluate_library(state, model.spec))
-            state = state + h * np.matmul(theta[:, None, :], Xi)[:, 0, :]
+    for _ in range(model.k):
+        theta = np.ascontiguousarray(evaluate_library(state, model.spec))
+        state = state + h * np.matmul(theta[:, None, :], Xi)[:, 0, :]
     return state.reshape(np.shape(z))
 
 
@@ -347,8 +355,10 @@ def rollout(model: SindyModel, z0: np.ndarray, steps: int) -> np.ndarray:
     z0 = np.asarray(z0, dtype=np.float64)
     out = np.empty((steps + 1,) + z0.shape)
     out[0] = z0
-    for t in range(steps):
-        out[t + 1] = sindy_cell(out[t], model)
+    Xi = model.effective_Xi()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(steps):
+            out[t + 1] = sindy_cell(out[t], model, Xi)
     return out
 
 

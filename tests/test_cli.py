@@ -95,6 +95,17 @@ def test_generate_invalid_kind_usage_error():
     (["pendulum", "--frames", "0"], "--frames must be >= 1"),
     (["sine", "--frames", "-3"], "--frames must be >= 1"),
     (["pendulum", "--dt", "nan"], "pendulum dt must be in (0, 1/30]"),
+    (["sine", "--theta0", "inf"], "--theta0 must be finite, got inf"),
+    (["sine", "--omega0=-inf"], "--omega0 must be finite, got -inf"),
+    (["pendulum", "--omega0", "nan"], "--omega0 must be finite, got nan"),
+    (["modal", "--modes", "[[0, 1.0]]"], "--modes must be a non-empty JSON list"),
+    (["modal", "--modes", "[0]"], "--modes must be a non-empty JSON list"),
+    (["modal", "--modes", "[[-1, 1.0, 6.0, 0.0]]"], "--modes must be a non-empty JSON list"),
+    (["modal", "--modes", "[[0.5, 1.0, 6.0, 0.0]]"], "--modes must be a non-empty JSON list"),
+    (["modal", "--modes", "[[true, 1.0, 6.0, 0.0]]"], "--modes must be a non-empty JSON list"),
+    (["modal", "--modes", '[[0, "a", 6.0, 0.0]]'], "--modes must be a non-empty JSON list"),
+    (["modal", "--modes", "[[0, 1.0, Infinity, 0.0]]"], "--modes must be a non-empty JSON list"),
+    (["modal", "--modes", "[[0, 1.0, 6.0, NaN]]"], "--modes must be a non-empty JSON list"),
 ])
 def test_generate_malformed_input_exit_2(tmp_path, capsys, argv, words):
     out = tmp_path / "gen"
@@ -106,7 +117,8 @@ def test_generate_malformed_input_exit_2(tmp_path, capsys, argv, words):
 
 def test_generate_diverging_pendulum_exit_3(tmp_path, capsys):
     out = tmp_path / "gen"
-    assert main(["generate", "pendulum", "--theta0", "inf", "--out", str(out)]) == 3
+    # Finite, so it passes the flag check; the cubic velocity term overflows in RK4.
+    assert main(["generate", "pendulum", "--omega0", "1e100", "--out", str(out)]) == 3
     err = capsys.readouterr().err.splitlines()
     assert err == ["numerical abort: pendulum trajectory diverged"]
     assert not (out / "field.fld").exists()
@@ -132,6 +144,27 @@ def test_forecast_unusable_field_header_exit_2(modal_dir, trained_dir, tmp_path,
                  "--field", str(fld), "--horizon", "5", "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err.splitlines()
     assert code == 2 and len(err) == 1 and words in err[0]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_forecast_non_finite_field_payload_exit_2(modal_dir, trained_dir, tmp_path, capsys,
+                                                  bad):
+    values = data.load_field(modal_dir / "field.fld").data
+    values[100, 7] = bad
+    fld = tmp_path / "bad.fld"
+    fld.write_bytes(_fld1_header(*values.shape, 0.02) + values.astype("<f4").tobytes())
+    code = main(["forecast", "--checkpoint", str(trained_dir / "model.shrd"),
+                 "--field", str(fld), "--horizon", "5", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and err == [f"error: payload holds 1 non-finite values of "
+                                 f"{values.size}"]
+
+
+def test_forecast_field_naming_a_directory_exit_2(trained_dir, tmp_path, capsys):
+    code = main(["forecast", "--checkpoint", str(trained_dir / "model.shrd"),
+                 "--field", str(tmp_path), "--horizon", "5", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and err == [f"error: [Errno 21] Is a directory: {str(tmp_path)!r}"]
 
 
 def test_train_writes_artifacts(modal_dir, tmp_path):
@@ -232,6 +265,55 @@ def test_train_unusable_sensor_file_exit_2(modal_dir, tmp_path, capsys, text, wo
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: {sensor_file}{words}"]
     assert not (tmp_path / "file" / "model.shrd").exists()
+
+
+@pytest.mark.parametrize("key, value, words", [
+    ("splits", "abc", "splits must be three finite reals >= 0 that sum to 1"),
+    ("splits", 5, "splits must be three finite reals >= 0 that sum to 1"),
+    ("splits", [0.5, 0.5], "splits must be three finite reals >= 0 that sum to 1"),
+    ("splits", [float("nan"), 0.5, 0.5], "splits must be three finite reals >= 0"),
+    ("splits", [True, 0, 0], "splits must be three finite reals >= 0 that sum to 1"),
+    ("splits", [0.0, 0.5, 0.5], "splits [0.0, 0.5, 0.5] leave no training window"),
+    ("duplicate_tail_fraction", 5, "duplicate_tail_fraction must be a real in [0, 1]"),
+    ("duplicate_tail_fraction", float("nan"), "duplicate_tail_fraction must be a real in"),
+    ("duplicate_tail_fraction", "abc", "duplicate_tail_fraction must be a real in [0, 1]"),
+    ("duplicate_tail_fraction", None, "duplicate_tail_fraction must be a real in [0, 1]"),
+    ("field", 3, "field must be a path string, got 3"),
+    ("out_dir", 3, "out_dir must be a path string, got 3"),
+    ("standardize", "no", "standardize must be true or false, got 'no'"),
+    ("sensors", 5, "sensors must be a JSON object, got 5"),
+    ("sensors", None, "sensors must be a JSON object, got None"),
+    ("sensors", {"count": 8, "seed": "abc"}, "sensors.seed must be an integer >= 0"),
+    ("sensors", {"count": 8, "drop_constant": "no"}, "sensors.drop_constant must be true or"),
+    ("sensors", {"file": 0}, "sensors.file must be a path string, got 0"),
+])
+def test_train_malformed_run_config_exit_2(modal_dir, tmp_path, capsys, key, value, words):
+    cfg_path = _run_config(modal_dir, tmp_path / "cfg", epochs=1)
+    cfg = json.loads(cfg_path.read_text())
+    cfg[key] = value
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["train", str(cfg_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and words in err[0]
+    assert not (tmp_path / "cfg" / "model.shrd").exists()
+
+
+def test_train_run_config_not_an_object_exit_2(tmp_path, capsys):
+    p = tmp_path / "c.json"
+    p.write_text("[1, 2]")
+    assert main(["train", str(p)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: run config must be a JSON object, got list"]
+
+
+def test_train_out_dir_naming_a_file_exit_2(modal_dir, tmp_path, capsys):
+    cfg_path = _run_config(modal_dir, tmp_path / "cfg", epochs=1)
+    cfg = json.loads(cfg_path.read_text())
+    cfg["out_dir"] = str(cfg_path)
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["train", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: out_dir {str(cfg_path)!r} names a file, not a directory"]
 
 
 def test_train_numerical_abort_exit_3(modal_dir, tmp_path):
@@ -799,11 +881,11 @@ def test_validate_theory_thm2_qual_late_divergence_keeps_short_score(tmp_path, m
     cell = sindy.sindy_cell
     frames = []
 
-    def diverging_cell(z, model):
+    def diverging_cell(z, model, *masked_xi):
         frames.append(len(frames) + 1)
         if frames[-1] >= 1500:
             return np.full(np.shape(z), np.nan)
-        return cell(z, model)
+        return cell(z, model, *masked_xi)
 
     monkeypatch.setattr(sindy, "sindy_cell", diverging_cell)
     code = main(["validate-theory", "--suite", "thm2-qual", "--gru-epochs", "1",

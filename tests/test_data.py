@@ -243,6 +243,89 @@ def test_duplicate_tail_fraction():
     assert np.array_equal(ds.train_idx[-7:], np.arange(63, 70))
 
 
+def test_make_windows_equals_stacked_copies_as_a_read_only_view():
+    rng = np.random.default_rng(16)
+    fld = _random_field(rng, t=60, n=9)
+    sensors = data.SensorSet(indices=(0, 4, 8), seed=-1)
+    ds = data.make_windows(fld, sensors, lag=11)
+    sens = fld.data[:, [0, 4, 8]]
+    stacked = np.stack([sens[s:s + 11] for s in range(49)], axis=0)
+    assert ds.inputs.shape == stacked.shape and np.array_equal(ds.inputs, stacked)
+    assert not ds.inputs.flags.writeable
+    with pytest.raises(ValueError):
+        ds.inputs[0, 0, 0] = 1.0
+    # One (T, S) sensor copy backs every window; the field itself is not aliased.
+    assert np.shares_memory(ds.inputs[0], ds.inputs[1])
+    assert not np.shares_memory(ds.inputs, fld.data)
+
+
+def test_make_windows_allocates_one_sensor_series():
+    import tracemalloc
+    fld = _random_field(np.random.default_rng(17), t=3000, n=40)
+    sensors = data.SensorSet(indices=tuple(range(0, 40, 2)), seed=-1)   # S = 20
+    series_bytes = 3000 * 20 * 8
+    tracemalloc.start()
+    try:
+        ds = data.make_windows(fld, sensors, lag=26)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.inputs.shape == (2974, 26, 20)
+    assert peak <= 2 * series_bytes    # stacked windows would take 26 times the series
+
+
+@pytest.mark.parametrize("splits", ["abc", 5, (0.5, 0.5), (0.7, 0.1, 0.2, 0.0),
+                                    (float("nan"), 0.5, 0.5), (0.5, float("inf"), 0.5),
+                                    (True, 0, 0), (1.2, -0.1, -0.1), ("0.7", 0.1, 0.2),
+                                    (0.6, 0.1, 0.2)])
+def test_make_windows_rejects_malformed_splits(splits):
+    fld = _random_field(np.random.default_rng(18), t=50, n=4)
+    with pytest.raises(ValueError, match=r"^splits must be three finite reals"):
+        data.make_windows(fld, data.SensorSet(indices=(0,), seed=-1), lag=5, splits=splits)
+
+
+def test_make_windows_rejects_an_empty_training_split():
+    fld = _random_field(np.random.default_rng(19), t=50, n=4)
+    sensors = data.SensorSet(indices=(0,), seed=-1)
+    with pytest.raises(ValueError, match=r"^splits .* leave no training window of 45"):
+        data.make_windows(fld, sensors, lag=5, splits=(0.01, 0.49, 0.5))
+    ds = data.make_windows(fld, sensors, lag=5, splits=(0.02, 0.48, 0.5))   # round(0.9)
+    assert ds.train_idx.tolist() == [0]
+
+
+@pytest.mark.parametrize("fraction", [-0.1, 1.5, 5, float("nan"), float("inf"), "0.1",
+                                      None, True])
+def test_make_windows_rejects_malformed_duplicate_tail_fraction(fraction):
+    fld = _random_field(np.random.default_rng(20), t=50, n=4)
+    with pytest.raises(ValueError, match=r"^duplicate_tail_fraction must be a real in \[0, 1\]"):
+        data.make_windows(fld, data.SensorSet(indices=(0,), seed=-1), lag=5,
+                          duplicate_tail_fraction=fraction)
+
+
+def test_make_windows_duplicate_tail_fraction_one_doubles_the_training_block():
+    fld = _random_field(np.random.default_rng(21), t=110, n=4)
+    ds = data.make_windows(fld, data.SensorSet(indices=(0,), seed=-1), lag=10,
+                           duplicate_tail_fraction=1)
+    assert np.array_equal(ds.train_idx, np.tile(np.arange(70), 2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_load_field_rejects_non_finite_payload(tmp_path, bad):
+    fld = _random_field(np.random.default_rng(22), t=12, n=5)
+    fld.data[7, 2] = bad
+    fld.data[0, 0] = bad
+    data.save_field(fld, tmp_path / "f.fld")
+    with pytest.raises(data.FieldFormatError, match="payload holds 2 non-finite values of 60"):
+        data.load_field(tmp_path / "f.fld")
+
+
+def test_load_field_accepts_float32_extremes(tmp_path):
+    big = np.finfo(np.float32).max
+    fld = Field(data=np.full((300, 200), big), dt_physical=0.5)
+    data.save_field(fld, tmp_path / "f.fld")
+    assert np.array_equal(data.load_field(tmp_path / "f.fld").data, fld.data)
+
+
 # ---------------------------------------------------------------------------
 # Generators
 # ---------------------------------------------------------------------------
@@ -279,6 +362,15 @@ def test_modal_patterns_orthogonal():
     p1 = data._grid_pattern((8, 9), 1)
     p2 = data._grid_pattern((8, 9), 2)
     assert abs(p0 @ p1) < 1e-12 and abs(p0 @ p2) < 1e-12 and abs(p1 @ p2) < 1e-12
+
+
+def test_grid_pattern_ids_walk_the_wavenumber_diagonals():
+    h, w = 8, 9
+    pairs = [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1), (1, 4)]
+    for pattern_id, (p, q) in enumerate(pairs):
+        pat = np.outer(np.sin(np.pi * p * (np.arange(h) + 1) / (h + 1)),
+                       np.sin(np.pi * q * (np.arange(w) + 1) / (w + 1))).reshape(-1)
+        assert np.array_equal(data._grid_pattern((h, w), pattern_id), pat / np.linalg.norm(pat))
 
 
 def test_pendulum_free_rotation_linear_angle():

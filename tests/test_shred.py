@@ -533,6 +533,17 @@ def test_koopman_training_moves_K_toward_transition():
     assert model.K is not None and np.all(np.isfinite(model.K.data))
 
 
+@pytest.mark.parametrize("order", ["unique", "duplicated-tail", "shuffled"])
+def test_latents_gathered_in_chunks_equal_one_gather(order):
+    ds = _tiny_dataset(t=1600, duplicate_tail_fraction=0.3)
+    model = shred.init_model(_tiny_config(), ds.inputs.shape[2], ds.targets.shape[1])
+    idx = {"unique": np.unique(ds.train_idx), "duplicated-tail": ds.train_idx,
+           "shuffled": np.random.default_rng(0).permutation(ds.train_idx)}[order]
+    assert idx.size > 2 * shred.ENCODE_CHUNK
+    one_gather = model.encode_np(np.stack([ds.inputs[i] for i in idx]))
+    assert np.array_equal(shred._latents(model, ds, idx), one_gather)
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------

@@ -488,6 +488,21 @@ def test_sindy_cell_non_finite_row_leaves_other_rows_unchanged():
         assert np.array_equal(traj[:, e], sindy.rollout(ensemble[e], z[e], 20))
 
 
+def test_rollout_masks_xi_once_and_equals_chained_cells(monkeypatch):
+    rng = np.random.default_rng(12)
+    spec = LibrarySpec(dim=3, poly_degree=2, trig=(("sin", 1.0),))
+    member = _random_members(rng, spec, 1, k=3, scale=0.3)[0]
+    z = rng.uniform(-1.0, 1.0, 3)
+    chain = [z]
+    for _ in range(25):
+        chain.append(sindy.sindy_cell(chain[-1], member))
+    masked, calls = SindyModel.effective_Xi, []
+    monkeypatch.setattr(SindyModel, "effective_Xi",
+                        lambda self: calls.append(1) or masked(self))
+    assert np.array_equal(sindy.rollout(member, z, 25), np.stack(chain))
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # Ensemble loss
 # ---------------------------------------------------------------------------
