@@ -13,6 +13,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,13 @@ def cmd_generate(args) -> int:
             raise UsageError(f"--modes must be a non-empty JSON list of [pattern, amplitude, "
                              f"omega, phase], each an integer pattern >= 0 and three "
                              f"finite numbers, got {args.modes!r}")
+        h, w = args.grid
+        for pattern, *_ in modes:
+            p, q = data.pattern_wavenumbers(pattern)
+            # A grid without cells is the field's error, reported when it is built.
+            if h >= 1 and w >= 1 and (p > h or q > w):
+                raise UsageError(f"--modes pattern {pattern} has wavenumbers (p, q) = "
+                                 f"({p}, {q}), beyond the {h}x{w} grid")
         fld, meta = data.gen_modal_field(grid=tuple(args.grid), modes=[tuple(m) for m in modes],
                                          n_frames=args.frames, dt=args.dt,
                                          noise=args.noise, seed=args.seed)
@@ -195,10 +203,10 @@ def cmd_train(args) -> int:
             pass
         if model.mode == "sindy":
             summary["selected_index"] = model.selected_index
-            summary["nnz"] = [model.member(i).nnz for i in range(len(model.xi))]
+            summary["nnz"] = model.masks.sum(axis=(1, 2)).tolist()
     except shred.SelectionError as exc:
         summary["selection"] = f"unavailable: {exc}"
-    _write_manifest(out, "train", {"run_config": cfg, "train_config": train_cfg.to_dict()})
+    _write_manifest(out, "train", {"run_config": cfg, "train_config": asdict(train_cfg)})
     print(json.dumps(summary))
     return EXIT_OK
 
@@ -358,7 +366,7 @@ def cmd_validate_theory(args) -> int:
         t0 = time.perf_counter()
         report = evaluation.theory_scaling_experiment(trials=args.trials, seed=args.seed)
         wall = time.perf_counter() - t0
-        payload = report.to_dict()
+        payload = asdict(report)
         slope_ok = -0.6 <= report.slope_n <= -0.4
         lo, hi = report.s_ratio_ci
         ratio_ok = lo <= 2.0 <= hi

@@ -12,7 +12,7 @@ import json
 import math
 import numbers
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -269,18 +269,22 @@ def make_windows(fld: Field, sensors: SensorSet, lag: int,
 # Synthetic generators
 # ---------------------------------------------------------------------------
 
+def pattern_wavenumbers(pattern_id: int) -> tuple[int, int]:
+    """Wavenumbers (p, q) of a pattern id in integer arithmetic; ids enumerate the
+    pairs by p + q, then by p: (1,1), (1,2), (2,1), (1,3), (2,2), (3,1), ..."""
+    diagonal = (math.isqrt(8 * pattern_id + 1) - 1) // 2   # p + q - 2
+    p = pattern_id - diagonal * (diagonal + 1) // 2 + 1
+    return p, diagonal + 2 - p
+
+
 def _grid_pattern(grid: tuple[int, int], pattern_id: int) -> np.ndarray:
     """Orthogonal smooth patterns: products of discrete sine modes, unit-normalized.
 
-    Pattern ids enumerate (p, q) wavenumber pairs diagonally, by p + q and
-    then by p: (1,1), (1,2), (2,1), (1,3), (2,2), (3,1), ... Distinct ids
-    whose wavenumbers fit the grid give exactly orthogonal vectors under the
-    discrete inner product.
+    Distinct ids whose wavenumbers fit the grid (p <= h, q <= w) give exactly
+    orthogonal vectors under the discrete inner product.
     """
     h, w = grid
-    diagonal = (math.isqrt(8 * pattern_id + 1) - 1) // 2   # p + q - 2
-    p = pattern_id - diagonal * (diagonal + 1) // 2 + 1
-    q = diagonal + 2 - p
+    p, q = pattern_wavenumbers(pattern_id)
     rows = np.sin(np.pi * p * (np.arange(h) + 1) / (h + 1))
     cols = np.sin(np.pi * q * (np.arange(w) + 1) / (w + 1))
     pat = np.outer(rows, cols).reshape(-1)
@@ -343,9 +347,6 @@ class PendulumCoeffs:
     sin_z: float = -10.87
     sin_dz: float = 0.48
 
-    def as_dict(self) -> dict:
-        return {"dz2": self.dz2, "dz3": self.dz3, "sin_z": self.sin_z, "sin_dz": self.sin_dz}
-
 
 def simulate_pendulum(theta0: float, omega0: float, coeffs: PendulumCoeffs,
                       n_frames: int, dt: float) -> np.ndarray:
@@ -393,7 +394,7 @@ def gen_pendulum(theta0: float, omega0: float, n_frames: int, dt: float,
         data[i] = _rasterize_rod(traj[i, 0], grid).reshape(-1)
     fld = Field(data=_quantize_f32(data), grid_shape=tuple(grid), dt_physical=dt)
     meta = {"kind": "pendulum", "grid": list(grid), "dt": dt, "seed": seed,
-            "theta0": theta0, "omega0": omega0, "coeffs": coeffs.as_dict()}
+            "theta0": theta0, "omega0": omega0, "coeffs": asdict(coeffs)}
     return fld, traj, meta
 
 

@@ -323,12 +323,6 @@ class ScalingCell:
     lambda_min_ratio: float
     excluded: bool
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "noise": self.noise, "horizon": self.horizon,
-                "coef_err_mean": self.coef_err_mean, "coef_err_std": self.coef_err_std,
-                "rollout_err_mean": self.rollout_err_mean,
-                "lambda_min_ratio": self.lambda_min_ratio, "excluded": self.excluded}
-
 
 @dataclass
 class ScalingReport:
@@ -338,12 +332,6 @@ class ScalingReport:
     s_ratio: float               # coef error ratio for doubled noise (expect ~2)
     s_ratio_ci: tuple[float, float]
     lambda_min_overall: float
-
-    def to_dict(self) -> dict:
-        return {"cells": [c.to_dict() for c in self.cells],
-                "slope_n": self.slope_n, "slope_n_ci": list(self.slope_n_ci),
-                "s_ratio": self.s_ratio, "s_ratio_ci": list(self.s_ratio_ci),
-                "lambda_min_overall": self.lambda_min_overall}
 
 
 def _default_scaling_system() -> tuple[np.ndarray, sindy.LibrarySpec]:

@@ -10,7 +10,7 @@ per config.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,13 +41,7 @@ class GruLayerParams:
 
 @dataclass
 class GruParams:
-    layers: list[GruLayerParams]
-    input_size: int
-    hidden_sizes: list[int]  # per layer; last entry is the latent dimension
-
-    @property
-    def latent_dim(self) -> int:
-        return self.hidden_sizes[-1]
+    layers: list[GruLayerParams]   # the widths are the weight shapes
 
     def tensors(self) -> dict[str, Tensor]:
         out = {}
@@ -89,17 +83,16 @@ def encode_window(window: np.ndarray, params: GruParams) -> Tensor:
     if window.ndim == 2:
         window = window[None, :, :]
     batch, lag, nsens = window.shape
-    if nsens != params.input_size:
-        raise WidthMismatchError(f"encode_window: sensor count {nsens} != {params.input_size}")
+    n_in = params.layers[0].W_u.shape[0]
+    if nsens != n_in:
+        raise WidthMismatchError(f"encode_window: sensor count {nsens} != {n_in}")
     if lag < 1:
         raise WidthMismatchError("encode_window: empty lag window")
     h = Tensor(window)
-    for layer, width in zip(params.layers, params.hidden_sizes):
-        in_w, hid_w = layer.W_u.shape[0], layer.U_u.shape[0]
+    for layer in params.layers:
+        in_w = layer.W_u.shape[0]
         if h.shape[-1] != in_w:
             raise WidthMismatchError(f"encode_window: input width {h.shape[-1]} != {in_w}")
-        if width != hid_w:
-            raise WidthMismatchError(f"encode_window: hidden width {width} != {hid_w}")
         h = dc.gru_sequence(h, *layer.tensors().values())
     return dc.reshape(dc.slice_axis(h, 1, lag - 1, lag), (batch, h.shape[-1]))
 
@@ -143,7 +136,7 @@ def init_gru(rng: np.random.Generator, input_size: int, hidden_sizes: list[int])
             b_h=_uniform(rng, (width,), width),
         ))
         in_w = width
-    return GruParams(layers=layers, input_size=input_size, hidden_sizes=list(hidden_sizes))
+    return GruParams(layers=layers)
 
 
 def init_decoder(rng: np.random.Generator, latent_dim: int, widths: list[int],

@@ -19,7 +19,7 @@ import sys
 import time
 import warnings
 import zlib
-from dataclasses import dataclass, field, fields, asdict, replace
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 import scipy.linalg
@@ -122,8 +122,6 @@ class ShredConfig:
         for name, value in reals + [("trig", freq) for _, freq in self.trig]:
             if value is not None and not abs(value) <= sys.float_info.max:
                 raise ConfigError(f"{name} must be finite, got {value}")
-        if self.sindy_loss_weight < 0:
-            raise ConfigError(f"sindy_loss_weight must be >= 0, got {self.sindy_loss_weight}")
         if self.grad_clip is not None and self.grad_clip <= 0:
             raise ConfigError(f"grad_clip must be null or > 0, got {self.grad_clip}")
         positive = {"lag": self.lag, "latent_dim": self.latent_dim,
@@ -135,8 +133,14 @@ class ShredConfig:
         for name, value in positive.items():
             if value <= 0:
                 raise ConfigError(f"{name} must be positive, got {value}")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
+        non_negative = {"epochs": self.epochs, "warmup_epochs": self.warmup_epochs,
+                        "seed": self.seed, "weight_decay": self.weight_decay,
+                        "sindy_loss_weight": self.sindy_loss_weight}
+        for name, value in non_negative.items():
+            if value < 0:
+                raise ConfigError(f"{name} must be >= 0, got {value}")
+        if any(width < 1 for width in self.decoder_widths):
+            raise ConfigError(f"decoder_widths must each be >= 1, got {list(self.decoder_widths)}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must be in [0, 1)")
         if self.threshold_low > self.threshold_high:
@@ -145,12 +149,8 @@ class ShredConfig:
             raise ConfigError("thresholds must be >= 0")
         if self.mode not in ("sindy", "koopman"):
             raise ConfigError(f"mode must be 'sindy' or 'koopman', got {self.mode!r}")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be >= 0")
         if self.poly_degree < 1:
             raise ConfigError("poly_degree must be >= 1 (latent dynamics need linear terms)")
-        if self.warmup_epochs < 0:
-            raise ConfigError("warmup_epochs must be >= 0")
 
     def library(self) -> LibrarySpec:
         spec = LibrarySpec(dim=self.latent_dim, poly_degree=self.poly_degree,
@@ -162,15 +162,6 @@ class ShredConfig:
     def horizon(self) -> int:
         """Frames after the first that a training sample spans: m_max for koopman, else 1."""
         return self.koopman_m_max if self.mode == "koopman" else 1
-
-    def hidden_sizes(self) -> list[int]:
-        return [self.latent_dim] * self.gru_layers
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["trig"] = [[k, f] for k, f in self.trig]
-        d["decoder_widths"] = list(self.decoder_widths)
-        return d
 
     @staticmethod
     def from_dict(d: dict) -> "ShredConfig":
@@ -200,8 +191,8 @@ class ShredModel:
     gru: GruParams
     decoder: DecoderParams
     spec: LibrarySpec
-    xi: list[Tensor] = field(default_factory=list)
-    masks: list[np.ndarray] = field(default_factory=list)
+    masks: np.ndarray                               # (E, p, d) bool; E = 0 in koopman mode
+    xi: list[Tensor] = field(default_factory=list)  # member e's coefficients, masked by masks[e]
     thresholds: list[float] = field(default_factory=list)
     K: Tensor | None = None
     selected_index: int | None = None
@@ -230,11 +221,12 @@ class ShredModel:
 
     def dynamics_live(self) -> bool:
         """Whether the dynamics still act: a Koopman map, or any unpruned term."""
-        return self.K is not None or any(m.any() for m in self.masks)
+        return self.K is not None or bool(self.masks.any())
 
-    def member(self, i: int) -> SindyModel:
-        xi = np.where(self.masks[i], self.xi[i].data, 0.0)
-        return SindyModel(spec=self.spec, Xi=xi, mask=self.masks[i].copy(),
+    def ensemble(self) -> SindyModel:
+        """Every member as one masked (E, p, d) model."""
+        Xi = np.where(self.masks, np.stack([xi.data for xi in self.xi]), 0.0)
+        return SindyModel(spec=self.spec, Xi=Xi, mask=self.masks.copy(),
                           dt=self.config.dt, k=self.config.ministeps)
 
     def koopman_generator(self) -> np.ndarray:
@@ -250,15 +242,12 @@ class ShredModel:
 
     def selected_model(self) -> SindyModel:
         if self.mode == "koopman":
-            G = self.koopman_generator()
-            spec = self.spec
-            Xi = G.T
-            mask = np.abs(Xi) > 0
-            return SindyModel(spec=spec, Xi=Xi, mask=mask,
+            Xi = self.koopman_generator().T
+            return SindyModel(spec=self.spec, Xi=Xi, mask=np.abs(Xi) > 0,
                               dt=self.config.dt, k=self.config.ministeps)
         if self.selected_index is None:
             raise SelectionError("no ensemble member selected yet")
-        return self.member(self.selected_index)
+        return self.ensemble()[self.selected_index]
 
     def rollout_np(self, z0: np.ndarray, steps: int) -> np.ndarray:
         """Latent trajectory (steps + 1, d) from z0 under the learned dynamics.
@@ -298,20 +287,17 @@ class ShredModel:
 def init_model(config: ShredConfig, n_sensors: int, n_space: int) -> ShredModel:
     config.validate()
     spec = config.library()
-    gru, decoder = nets.init_params(config.seed, n_sensors, config.hidden_sizes(),
+    gru, decoder = nets.init_params(config.seed, n_sensors,
+                                    [config.latent_dim] * config.gru_layers,
                                     list(config.decoder_widths), n_space, config.dropout)
-    model = ShredModel(config=config, gru=gru, decoder=decoder, spec=spec)
-    if config.mode == "koopman":
-        model.K = Tensor(np.eye(config.latent_dim), requires_grad=True)
-    else:
-        p = spec.term_count
-        model.thresholds = sindy.threshold_ladder(config.threshold_low,
-                                                  config.threshold_high,
-                                                  config.ensemble_size)
-        for _ in range(config.ensemble_size):
-            model.xi.append(Tensor(np.zeros((p, config.latent_dim)), requires_grad=True))
-            model.masks.append(np.ones((p, config.latent_dim), dtype=bool))
-    return model
+    members = config.ensemble_size if config.mode == "sindy" else 0
+    shape = (spec.term_count, config.latent_dim)
+    K = Tensor(np.eye(config.latent_dim), requires_grad=True) if config.mode == "koopman" else None
+    return ShredModel(config=config, gru=gru, decoder=decoder, spec=spec, K=K,
+                      masks=np.ones((members,) + shape, dtype=bool),
+                      xi=[Tensor(np.zeros(shape), requires_grad=True) for _ in range(members)],
+                      thresholds=sindy.threshold_ladder(config.threshold_low,
+                                                        config.threshold_high, members))
 
 
 def _latents(model: ShredModel, dataset: WindowedDataset,
@@ -426,11 +412,11 @@ def _apply_masks(model: ShredModel) -> None:
 
 
 def _prune_members(model: ShredModel) -> list[int]:
-    for i, thr in enumerate(model.thresholds):
-        pruned = sindy.threshold_prune(model.member(i), thr)
-        model.masks[i] = pruned.mask
-        model.xi[i].data = pruned.Xi
-    return [int(m.sum()) for m in model.masks]
+    pruned = sindy.threshold_prune(model.ensemble(), np.array(model.thresholds)[:, None, None])
+    model.masks = pruned.mask
+    for xi, Xi in zip(model.xi, pruned.Xi):
+        xi.data = Xi
+    return model.masks.sum(axis=(1, 2)).tolist()
 
 
 def _refit(model: ShredModel, dataset: WindowedDataset) -> None:
@@ -452,13 +438,7 @@ def _refit(model: ShredModel, dataset: WindowedDataset) -> None:
     theta = sindy.evaluate_library(latents[:-1], model.spec)
     targets = (latents[1:] - latents[:-1]) / model.config.dt
     for xi, mask in zip(model.xi, model.masks):
-        new = np.zeros_like(xi.data)
-        for j in range(model.config.latent_dim):
-            active = mask[:, j]
-            if active.any():
-                sol, *_ = np.linalg.lstsq(theta[:, active], targets[:, j], rcond=None)
-                new[active, j] = sol
-        xi.data = new
+        xi.data = sindy.polish(theta, targets, mask)
 
 
 def _optimizer(model: ShredModel) -> dc.AdamW:
@@ -557,7 +537,7 @@ def train(dataset: WindowedDataset, config: ShredConfig,
                     warnings.warn("every ensemble member pruned to the null model; "
                                   "continuing with reconstruction loss only", stacklevel=2)
             else:
-                record["nnz"] = [int(m.sum()) for m in model.masks]
+                record["nnz"] = model.masks.sum(axis=(1, 2)).tolist()
         if (config.refit_on_prune and ("pruned" in record or epoch == config.epochs)
                 and model.dynamics_live()):
             _refit(model, dataset)
@@ -580,13 +560,12 @@ def _selection_latents(model: ShredModel, dataset: WindowedDataset) -> np.ndarra
     return _latents(model, dataset, idx)
 
 
-def _rollout_mses(members: list[SindyModel], latents: np.ndarray) -> list[float]:
+def _rollout_mses(ensemble: SindyModel, latents: np.ndarray) -> list[float]:
     """Each member's MSE on one stacked rollout from ``latents[0]``; inf where non-finite."""
-    ensemble = replace(members[0], Xi=np.stack([m.Xi for m in members]),
-                       mask=np.stack([m.mask for m in members]))
-    traj = sindy.rollout(ensemble, np.tile(latents[0], (len(members), 1)), len(latents) - 1)
+    members = ensemble.Xi.shape[0]
+    traj = sindy.rollout(ensemble, np.tile(latents[0], (members, 1)), len(latents) - 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        mses = [float(np.mean((traj[:, e] - latents) ** 2)) for e in range(len(members))]
+        mses = [float(np.mean((traj[:, e] - latents) ** 2)) for e in range(members)]
     return [m if math.isfinite(m) else math.inf for m in mses]
 
 
@@ -601,14 +580,15 @@ def select_discovered_model(model: ShredModel,
     latents = np.asarray(latents, dtype=np.float64)
     if latents.ndim != 2 or latents.shape[0] < 2:
         raise SelectionError("need a latent trajectory with at least 2 rows")
-    members = [model.member(i) for i in range(len(model.xi))]
-    mses = _rollout_mses(members, latents)
+    ensemble = model.ensemble()
+    mses = _rollout_mses(ensemble, latents)
     best = min(mses)
     if not math.isfinite(best):
         raise SelectionError(f"all ensemble members diverge on validation rollout: {mses}")
     candidates = [i for i, m in enumerate(mses) if m <= best * 1.1]
-    chosen = min(candidates, key=lambda i: (members[i].nnz, i))
-    return chosen, members[chosen], sindy.equations_text(members[chosen])
+    nnz = model.masks.sum(axis=(1, 2))
+    chosen = min(candidates, key=lambda i: (nnz[i], i))
+    return chosen, ensemble[chosen], sindy.equations_text(ensemble[chosen])
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +644,7 @@ def _read_sections(raw: bytes, off: int) -> dict[str, np.ndarray]:
 
 
 def save_checkpoint(model: ShredModel, optimizer: dc.AdamW, epoch: int, path) -> None:
-    header = {"config": model.config.to_dict(), "epoch": int(epoch),
+    header = {"config": asdict(model.config), "epoch": int(epoch),
               "adam_step": int(optimizer.step_count),
               "selected_index": model.selected_index,
               "thresholds": list(model.thresholds),
@@ -730,16 +710,24 @@ def load_checkpoint(path) -> tuple[ShredModel, dc.AdamW, int]:
         raise CheckpointError("header key 'extra' is not a JSON object")
     sections = _read_sections(raw, 12 + hlen)
 
-    def section(name: str) -> np.ndarray:
+    def section(name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
         if name not in sections:
             raise CheckpointError(f"missing section {name!r}")
+        if shape is not None and sections[name].shape != shape:
+            raise CheckpointError(f"section {name!r} has shape {sections[name].shape}; "
+                                  f"the header's config needs {shape}")
         return sections[name]
 
     try:
         config = ShredConfig.from_dict(header["config"])
     except ConfigError as exc:
         raise CheckpointError(f"header config: {exc}") from None
-    model = init_model(config, section("gru0.W_u").shape[0], section("dec_out.W").shape[1])
+    # The sensor and pixel counts that every other section is checked against.
+    W_in, W_out = section("gru0.W_u"), section("dec_out.W")
+    if W_in.ndim != 2 or W_out.ndim != 2 or W_in.shape[0] == 0:
+        raise CheckpointError(f"sections 'gru0.W_u' {W_in.shape} and 'dec_out.W' "
+                              f"{W_out.shape} must be matrices, with at least one sensor")
+    model = init_model(config, W_in.shape[0], W_out.shape[1])
     if header["selected_index"] is not None and header["selected_index"] >= len(model.xi):
         raise CheckpointError(f"selected_index {header['selected_index']} out of range "
                               f"for {len(model.xi)} ensemble members")
@@ -747,15 +735,16 @@ def load_checkpoint(path) -> tuple[ShredModel, dc.AdamW, int]:
         raise CheckpointError(f"{len(header['thresholds'])} thresholds "
                               f"for {len(model.xi)} ensemble members")
     for name, tensor in model.named_parameters().items():
-        tensor.data = section(name).astype(np.float64)
+        tensor.data = section(name, tensor.shape).astype(np.float64)
     for i in range(len(model.masks)):
-        model.masks[i] = section(f"mask{i}").astype(bool)
+        model.masks[i] = section(f"mask{i}", model.masks.shape[1:]).astype(bool)
     if header["thresholds"]:
         model.thresholds = [float(t) for t in header["thresholds"]]
     model.selected_index = header["selected_index"]
     model.extra = header.get("extra", {})
     optimizer = _optimizer(model)
-    optimizer.load_state_arrays({name: section(name) for name in optimizer.state_arrays()},
+    optimizer.load_state_arrays({name: section(name, arr.shape)
+                                 for name, arr in optimizer.state_arrays().items()},
                                 header["adam_step"])
     model.optimizer = optimizer
     return model, optimizer, int(header["epoch"])

@@ -206,6 +206,10 @@ class SindyModel:
     def nnz(self) -> int:
         return int(self.mask.sum())
 
+    def __getitem__(self, e: int) -> "SindyModel":
+        """Member e of an (E, p, d) ensemble."""
+        return replace(self, Xi=self.Xi[e], mask=self.mask[e])
+
     def effective_Xi(self) -> np.ndarray:
         return np.where(self.mask, self.Xi, 0.0)
 
@@ -290,15 +294,13 @@ def _stlsq(theta: np.ndarray, dZ: np.ndarray, threshold: float, iters: int,
     rounds solve column by column on each column's own support.
     """
     p, d = theta.shape[1], dZ.shape[1]
-    Xi = np.zeros((p, d))
     mask = np.ones((p, d), dtype=bool)
     if p == 0:
-        return Xi, mask
+        return np.zeros((p, d)), mask
     first = _solve_ridge(theta, dZ, ridge)
     for j in range(d):
         active = mask[:, j]
         coef = first[:, j]
-        settled = None   # the solve on ``active`` when it kept every term
         for round_ in range(max(1, iters)):
             if round_:
                 if not active.any():
@@ -306,20 +308,23 @@ def _stlsq(theta: np.ndarray, dZ: np.ndarray, threshold: float, iters: int,
                 coef = _solve_ridge(theta[:, active], dZ[:, j], ridge)
             keep = np.abs(coef) >= threshold
             if keep.all():
-                settled = coef
                 break
             new_active = active.copy()
             new_active[active] = keep
             active = new_active
         mask[:, j] = active
-        if ridge == 0 and settled is not None:
-            # That solve was already the ridge-free lstsq on the final support.
-            Xi[active, j] = settled
-        elif active.any():
-            # Ridge-free polish on the surviving support; rank-deficient
-            # supports fall back to the minimum-norm solution.
-            Xi[active, j] = np.linalg.lstsq(theta[:, active], dZ[:, j], rcond=None)[0]
-    return Xi, mask
+    return polish(theta, dZ, mask), mask
+
+
+def polish(theta: np.ndarray, targets: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Each target column's ridge-free ``lstsq`` on its own support, zero off it;
+    a rank-deficient support gets the minimum-norm solution."""
+    Xi = np.zeros(mask.shape)
+    for j in range(mask.shape[1]):
+        active = mask[:, j]
+        if active.any():
+            Xi[active, j] = np.linalg.lstsq(theta[:, active], targets[:, j], rcond=None)[0]
+    return Xi
 
 
 def sindy_cell(z: np.ndarray, model: SindyModel, Xi: np.ndarray | None = None) -> np.ndarray:
@@ -363,13 +368,13 @@ def rollout(model: SindyModel, z0: np.ndarray, steps: int) -> np.ndarray:
 
 
 def ensemble_sindy_loss(z_t: Tensor, z_next: Tensor, xi_tensors: list[Tensor],
-                        masks: list[np.ndarray], spec: LibrarySpec,
+                        masks: np.ndarray, spec: LibrarySpec,
                         dt: float, k: int) -> Tensor:
     """Sum over ensemble members of mean squared one-step rollout error.
 
-    Each masked member takes k Euler mini-steps of dt/k from ``z_t``. Gradients
-    reach every Xi and both latent endpoints (no stop-gradient), so the encoder
-    and the latent dynamics adapt to each other.
+    Member e, ``xi_tensors[e]`` under ``masks[e]`` of the (E, p, d) masks, takes
+    k Euler mini-steps of dt/k from ``z_t``. Gradients reach every Xi and both
+    latent endpoints (no stop-gradient), so encoder and dynamics co-adapt.
     """
     if z_t.shape[0] == 0:
         raise DimensionMismatchError("empty batch")
@@ -377,8 +382,7 @@ def ensemble_sindy_loss(z_t: Tensor, z_next: Tensor, xi_tensors: list[Tensor],
         raise DimensionMismatchError("empty ensemble")
     b, d = z_t.shape
     # (members, p, d), so every member advances its own copy of the batch.
-    xi_stack = (dc.concat(xi_tensors, axis=0).reshape(len(xi_tensors), -1, d)
-                * Tensor(np.stack(masks).astype(np.float64)))
+    xi_stack = dc.concat(xi_tensors, axis=0).reshape(len(xi_tensors), -1, d) * Tensor(masks)
     z = z_t.reshape(1, b, d)
     for _ in range(k):
         z = z + dc.scale(library_features(z, spec) @ xi_stack, dt / k)
@@ -410,9 +414,12 @@ def koopman_loss(latents: list[Tensor], K: Tensor, m_max: int) -> Tensor:
     return dc.scale(total, 1.0 / m_max)
 
 
-def threshold_prune(model: SindyModel, threshold: float) -> SindyModel:
-    """Clear mask entries with |Xi| below threshold; pruning is monotone and idempotent."""
-    if threshold < 0:
+def threshold_prune(model: SindyModel, threshold: float | np.ndarray) -> SindyModel:
+    """Clear mask entries with |Xi| below threshold; pruning is monotone and idempotent.
+
+    ``threshold`` may broadcast against Xi: (E, 1, 1) gives each member its own.
+    """
+    if np.any(np.asarray(threshold) < 0):
         raise ValueError("threshold must be >= 0")
     new_mask = model.mask & (np.abs(model.Xi) >= threshold)
     new_Xi = np.where(new_mask, model.Xi, 0.0)

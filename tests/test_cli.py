@@ -1,7 +1,9 @@
 """End-to-end command wiring, exit codes, and manifest reproducibility."""
 
 import importlib.metadata
+import io
 import json
+import math
 import os
 import re
 import shlex
@@ -18,6 +20,8 @@ except ModuleNotFoundError:  # Python 3.10; pytest itself depends on tomli there
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import shredkit
 from shredkit import cli, data, evaluation, shred, sindy
@@ -69,6 +73,7 @@ def test_generate_pendulum_sidecar_coefficients(tmp_path):
     assert code == 0
     meta = json.loads((tmp_path / "truth.json").read_text())
     assert meta["coeffs"] == {"dz2": 0.17, "dz3": -0.06, "sin_z": -10.87, "sin_dz": 0.48}
+    assert list(meta["coeffs"]) == ["dz2", "dz3", "sin_z", "sin_dz"]   # the field order
 
 
 def test_generate_sine_trajectory_field(tmp_path):
@@ -106,6 +111,11 @@ def test_generate_invalid_kind_usage_error():
     (["modal", "--modes", '[[0, "a", 6.0, 0.0]]'], "--modes must be a non-empty JSON list"),
     (["modal", "--modes", "[[0, 1.0, Infinity, 0.0]]"], "--modes must be a non-empty JSON list"),
     (["modal", "--modes", "[[0, 1.0, 6.0, NaN]]"], "--modes must be a non-empty JSON list"),
+    (["modal", "--grid", "4", "4", "--modes", "[[10, 1.0, 6.0, 0.0]]"],
+     "--modes pattern 10 has wavenumbers (p, q) = (1, 5), beyond the 4x4 grid"),
+    (["modal", "--grid", "4", "4", "--modes", "[[25, 1.0, 6.0, 0.0]]"],
+     "--modes pattern 25 has wavenumbers (p, q) = (5, 3), beyond the 4x4 grid"),
+    (["modal", "--modes", f"[[{10 ** 400}, 1.0, 6.0, 0.0]]"], "beyond the 16x16 grid"),
 ])
 def test_generate_malformed_input_exit_2(tmp_path, capsys, argv, words):
     out = tmp_path / "gen"
@@ -113,6 +123,12 @@ def test_generate_malformed_input_exit_2(tmp_path, capsys, argv, words):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and words in err[0]
     assert not (out / "field.fld").exists()
+
+
+def test_generate_modal_accepts_the_last_pattern_of_the_grid(tmp_path):
+    # Pattern 24 is (p, q) = (4, 4), the highest wavenumbers a 4x4 grid holds.
+    assert main(["generate", "modal", "--grid", "4", "4", "--frames", "10",
+                 "--modes", "[[24, 1.0, 6.0, 0.0]]", "--out", str(tmp_path)]) == 0
 
 
 def test_generate_diverging_pendulum_exit_3(tmp_path, capsys):
@@ -217,6 +233,24 @@ def test_train_negative_grad_clip_exit_2(modal_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: grad_clip must be null or > 0") and err.count("\n") == 1
     assert not (tmp_path / "clip" / "model.shrd").exists()
+
+
+@pytest.mark.parametrize("over, words", [
+    ({"decoder_widths": [0]}, "decoder_widths must each be >= 1, got [0]"),
+    ({"decoder_widths": [12, -1]}, "decoder_widths must each be >= 1, got [12, -1]"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+])
+def test_train_out_of_range_config_names_the_key_exit_2(modal_dir, tmp_path, capsys, over,
+                                                        words):
+    cfg_path = _run_config(modal_dir, tmp_path / "range", **over)
+    assert main(["train", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {words}"]
+    assert not (tmp_path / "range" / "model.shrd").exists()
+
+
+def test_train_linear_decoder(modal_dir, tmp_path):
+    cfg_path = _run_config(modal_dir, tmp_path / "linear", epochs=1, decoder_widths=[])
+    assert main(["train", str(cfg_path)]) == 0
 
 
 def test_train_negative_sensor_index_exit_2(modal_dir, tmp_path, capsys):
@@ -546,6 +580,37 @@ def test_checkpoint_section_header_byte_change_exit_2(modal_dir, trained_dir, tm
         assert main(["forecast", "--checkpoint", str(ckpt), "--field",
                      str(modal_dir / "field.fld"), "--horizon", "5",
                      "--out", str(tmp_path)]) == 2, off
+
+
+def _with_section(blob: bytes, name: str, array: np.ndarray) -> bytes:
+    """The checkpoint ``blob`` with section ``name`` and its AdamW moments set to ``array``."""
+    hlen = int.from_bytes(blob[8:12], "little")
+    out = io.BytesIO()
+    out.write(blob[:12 + hlen])
+    for key, arr in shred._read_sections(blob, 12 + hlen).items():
+        replace = key in (name, f"adam.m.{name}", f"adam.v.{name}")
+        shred._write_section(out, key, array if replace else arr)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name, shape, words", [
+    ("dec_out.b", (1,), "section 'dec_out.b' has shape (1,); the header's config needs (36,)"),
+    ("mask1", (3, 2), "section 'mask1' has shape (3, 2); the header's config needs (6, 2)"),
+    ("adam.v.xi0", (6,), "section 'adam.v.xi0' has shape (6,); the header's config needs (6, 2)"),
+    ("gru1.U_h", (2, 3), "section 'gru1.U_h' has shape (2, 3); the header's config needs (2, 2)"),
+    ("gru0.W_u", (8,), "sections 'gru0.W_u' (8,) and 'dec_out.W' (12, 36) must be matrices"),
+    ("dec_out.W", (12,), "sections 'gru0.W_u' (8, 2) and 'dec_out.W' (12,) must be matrices"),
+    ("gru0.W_u", (0, 2), "must be matrices, with at least one sensor"),
+])
+def test_checkpoint_section_of_wrong_shape_exit_2(modal_dir, trained_dir, tmp_path, capsys,
+                                                  name, shape, words):
+    ckpt = tmp_path / "shape.shrd"
+    ckpt.write_bytes(_with_section((trained_dir / "model.shrd").read_bytes(), name,
+                                   np.zeros(shape)))
+    assert main(["forecast", "--checkpoint", str(ckpt), "--field", str(modal_dir / "field.fld"),
+                 "--horizon", "5", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and words in err[0]
 
 
 @pytest.mark.parametrize("value, code", [(None, 0), (4, 2)])
@@ -968,6 +1033,50 @@ def _readme_blocks() -> list[list[str]]:
             else:
                 block.append(line)
     return blocks
+
+
+# One JSON value of the kinds a hand-edited run config can hold by mistake.
+_json_scalars = (st.none() | st.booleans() | st.integers(-2, 3)
+                 | st.sampled_from([0.0, -0.5, 0.25, 1e308, -1e308, math.inf, -math.inf, math.nan])
+                 | st.text(alphabet="ab", max_size=3))
+_json_values = st.one_of(_json_scalars, _json_scalars, st.lists(_json_scalars, max_size=3),
+                         st.dictionaries(st.text(alphabet="ab", max_size=2), _json_scalars,
+                                         max_size=2))
+_FUZZ_KEYS = ([("", k) for k in sorted(cli._RUN_KEYS)]
+              + [("sensors", k) for k in sorted(cli._SENSOR_KEYS)]
+              + [("train", k) for k in sorted(shred.ShredConfig.__dataclass_fields__)])
+
+
+@pytest.fixture(scope="module")
+def fuzz_field(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz")
+    assert main(["generate", "modal", "--out", str(out), "--grid", "6", "6",
+                 "--frames", "120", "--noise", "0.01"]) == 0
+    return out / "field.fld"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from(_FUZZ_KEYS), value=_json_values)
+def test_train_config_with_one_value_swapped_exits_cleanly(fuzz_field, tmp_path, monkeypatch,
+                                                          capsys, key, value):
+    monkeypatch.chdir(tmp_path)
+    cfg = {"field": str(fuzz_field), "out_dir": "run",
+           "sensors": {"count": 6, "seed": 1},
+           "train": {"lag": 8, "latent_dim": 2, "epochs": 2, "dt": 0.02, "batch_size": 32,
+                     "threshold_interval": 1, "ensemble_size": 2, "poly_degree": 1,
+                     "decoder_widths": [8]}}
+    block, name = key
+    (cfg[block] if block else cfg)[name] = value
+    Path("config.json").write_text(json.dumps(cfg))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(["train", "config.json"])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4), (key, value, err)
+    if code:
+        assert err.count("\n") == 1, (key, value, err)
 
 
 def test_readme_commands_parse():

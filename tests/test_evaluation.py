@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -117,7 +118,7 @@ def test_forecast_linear_member_matches_matrix_exponential():
     spec = sindy.koopman_restrict(model.spec)
     model.spec = spec
     model.xi = [Tensor(G.T, requires_grad=True)]
-    model.masks = [np.ones((2, 2), bool)]
+    model.masks = np.ones((1, 2, 2), bool)
     model.thresholds = [0.1]
     model.selected_index = 0
     model.config.ministeps = 20
@@ -609,6 +610,20 @@ def test_scaling_needs_two_usable_sample_counts(n_values, match):
         evaluation.theory_scaling_experiment(n_values=n_values, noise_values=[0.1], trials=20)
 
 
+def test_scaling_report_json_is_the_old_to_dict_json():
+    cell = evaluation.ScalingCell(n=100, noise=0.1, horizon=2.0, coef_err_mean=0.5,
+                                  coef_err_std=0.25, rollout_err_mean=math.nan,
+                                  lambda_min_ratio=0.125, excluded=True)
+    report = evaluation.ScalingReport(cells=[cell], slope_n=-0.5, slope_n_ci=(-0.75, -0.25),
+                                      s_ratio=2.0, s_ratio_ci=(1.5, 2.5),
+                                      lambda_min_overall=0.125)
+    assert json.dumps(asdict(report)) == (
+        '{"cells": [{"n": 100, "noise": 0.1, "horizon": 2.0, "coef_err_mean": 0.5, '
+        '"coef_err_std": 0.25, "rollout_err_mean": NaN, "lambda_min_ratio": 0.125, '
+        '"excluded": true}], "slope_n": -0.5, "slope_n_ci": [-0.75, -0.25], "s_ratio": 2.0, '
+        '"s_ratio_ci": [1.5, 2.5], "lambda_min_overall": 0.125}')
+
+
 def test_scaling_report_identical_for_one_and_two_workers(monkeypatch):
     reports = []
     for workers in ("1", "2"):
@@ -616,5 +631,5 @@ def test_scaling_report_identical_for_one_and_two_workers(monkeypatch):
         report = evaluation.theory_scaling_experiment(n_values=[100, 1000],
                                                       noise_values=[0.1, 0.2],
                                                       trials=20, seed=3)
-        reports.append(json.dumps(report.to_dict()))
+        reports.append(json.dumps(asdict(report)))
     assert reports[0] == reports[1]

@@ -70,8 +70,8 @@ def test_encode_window_full_unroll_matches_oracle():
     window = rng.standard_normal((2, 6, 3))
     z = nets.encode_window(window, gru)
     xs = [window[:, t] for t in range(6)]
-    for layer, width in zip(gru.layers, gru.hidden_sizes):
-        h = np.zeros((2, width))
+    for layer in gru.layers:
+        h = np.zeros((2, layer.U_u.shape[0]))
         outs = []
         for x in xs:
             h = _oracle_gru_cell(x, h, layer)
@@ -95,7 +95,7 @@ def test_encode_window_recency_with_carry_gates():
 
 
 def test_encode_zero_window_zero_params_is_zero():
-    gru = nets.GruParams(layers=[_zero_layer(3, 4)], input_size=3, hidden_sizes=[4])
+    gru = nets.GruParams(layers=[_zero_layer(3, 4)])
     z = nets.encode_window(np.zeros((2, 5, 3)), gru)
     assert np.array_equal(z.data, np.zeros((2, 4)))
 
@@ -204,8 +204,8 @@ def _cell_unroll(x, gru, gru_cell):
     """
     batch, lag, width_in = x.shape
     xs = [dc.reshape(dc.slice_axis(x, 1, t, t + 1), (batch, width_in)) for t in range(lag)]
-    for layer, width in zip(gru.layers, gru.hidden_sizes):
-        h = Tensor(np.zeros((batch, width)))
+    for layer in gru.layers:
+        h = Tensor(np.zeros((batch, layer.U_u.shape[0])))
         outs = []
         for x in xs:
             h = gru_cell(x, h, layer)
@@ -284,10 +284,6 @@ def test_encoder_tape_is_per_layer_not_per_step(layers):
 def test_encode_window_layer_width_mismatch():
     rng = np.random.default_rng(27)
     gru = nets.init_gru(rng, input_size=3, hidden_sizes=[4, 2])
-    gru.hidden_sizes = [5, 2]
-    with pytest.raises(nets.WidthMismatchError, match="hidden width"):
-        nets.encode_window(np.zeros((1, 5, 3)), gru)
-    gru.hidden_sizes = [4, 2]
     gru.layers[1] = nets.init_gru(rng, input_size=5, hidden_sizes=[2]).layers[0]
     with pytest.raises(nets.WidthMismatchError, match="input width"):
         nets.encode_window(np.zeros((1, 5, 3)), gru)

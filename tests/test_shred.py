@@ -4,6 +4,7 @@ import json
 import struct
 import warnings
 import zlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -184,7 +185,7 @@ def test_train_zero_epochs_returns_initialized_model():
     cfg = _tiny_config(epochs=0)
     model, log = shred.train(ds, cfg)
     assert log == []
-    fresh_gru, _ = nets.init_params(cfg.seed, ds.inputs.shape[2], cfg.hidden_sizes(),
+    fresh_gru, _ = nets.init_params(cfg.seed, ds.inputs.shape[2], [cfg.latent_dim] * cfg.gru_layers,
                                     list(cfg.decoder_widths), ds.targets.shape[1])
     for a, b in zip(model.gru.tensors().values(), fresh_gru.tensors().values()):
         assert np.array_equal(a.data, b.data)
@@ -268,6 +269,25 @@ def test_prune_members_thresholds_each_member_at_its_own_level():
     for mask, xi, thr in zip(model.masks, model.xi, (0.1, 0.5)):
         assert np.array_equal(mask, np.abs(coeffs) >= thr)
         assert np.array_equal(xi.data, np.where(mask, coeffs, 0.0))
+
+
+def test_refit_equals_the_member_by_member_column_loop():
+    ds = _tiny_dataset()
+    model = shred.init_model(_tiny_config(), n_sensors=10, n_space=64)
+    rng = np.random.default_rng(4)
+    model.masks = rng.random(model.masks.shape) < 0.6
+    model.masks[1, :, 0] = False
+    shred._refit(model, ds)
+    latents = shred._latents(model, ds, np.unique(ds.train_idx)[:4096])
+    theta = sindy.evaluate_library(latents[:-1], model.spec)
+    targets = (latents[1:] - latents[:-1]) / model.config.dt
+    for xi, mask in zip(model.xi, model.masks):
+        want = np.zeros(mask.shape)
+        for j in range(mask.shape[1]):
+            if mask[:, j].any():
+                want[mask[:, j], j] = np.linalg.lstsq(theta[:, mask[:, j]], targets[:, j],
+                                                      rcond=None)[0]
+        assert np.array_equal(xi.data, want)
 
 
 def test_train_null_guard_warns_and_continues():
@@ -372,13 +392,26 @@ def test_config_rejects_wrong_types(name, value):
         ShredConfig.from_dict({name: value})
 
 
+def test_config_json_is_the_old_to_dict_json():
+    cfg = ShredConfig.from_dict({"trig": [["sin", 1], ["cos", 0.5]], "decoder_widths": [12, 8],
+                                 "grad_clip": 2.5})
+    assert json.dumps(asdict(cfg)) == (
+        '{"lag": 52, "latent_dim": 3, "epochs": 1000, "batch_size": 128, "learning_rate": 0.001, '
+        '"weight_decay": 0.01, "dropout": 0.1, "dt": 0.019230769230769232, "ministeps": 10, '
+        '"threshold_interval": 100, "threshold_low": 0.1, "threshold_high": 1.0, '
+        '"ensemble_size": 10, "poly_degree": 3, "include_constant": true, '
+        '"trig": [["sin", 1.0], ["cos", 0.5]], "mode": "sindy", "seed": 0, "koopman_m_max": 1, '
+        '"gru_layers": 2, "decoder_widths": [12, 8], "sindy_loss_weight": 1.0, '
+        '"grad_clip": 2.5, "warmup_epochs": 0, "refit_on_prune": false}')
+
+
 def test_config_accepts_ints_for_floats_and_lists_for_tuples():
     cfg = ShredConfig.from_dict({"dt": 1, "grad_clip": 5, "sindy_loss_weight": 0,
                                  "gru_hidden": None, "decoder_widths": [12, 8],
                                  "trig": [["sin", 1]]})
     assert cfg.decoder_widths == (12, 8)
     assert cfg.trig == (("sin", 1.0),) and isinstance(cfg.trig[0][1], float)
-    assert ShredConfig.from_dict(cfg.to_dict()) == cfg
+    assert ShredConfig.from_dict(asdict(cfg)) == cfg
 
 
 @pytest.mark.parametrize("name, value", [
@@ -412,7 +445,7 @@ def _selection_model(xis, masks, dt=0.05, k=4, d=2):
     model = shred.init_model(cfg, n_sensors=3, n_space=4)
     model.spec = spec
     model.xi = [Tensor(np.asarray(x, float), requires_grad=True) for x in xis]
-    model.masks = [np.asarray(m, bool) for m in masks]
+    model.masks = np.array(masks, bool)
     model.thresholds = list(np.linspace(0.1, 1.0, len(xis)))
     return model
 
@@ -465,10 +498,11 @@ def test_select_mses_match_one_member_rollouts_and_divergence_scores_inf():
     masks = [np.ones((2, 2), bool), np.abs(xis[1]) > 0.5, np.ones((2, 2), bool),
              np.eye(2, dtype=bool)]
     model = _selection_model(xis, masks, k=3)
-    members = [model.member(i) for i in range(4)]
+    ensemble = model.ensemble()
+    members = [ensemble[i] for i in range(4)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mses = shred._rollout_mses(members, Z)
+        mses = shred._rollout_mses(ensemble, Z)
     assert mses[2] == np.inf
     for e in (0, 1, 3):
         own = float(np.mean((sindy.rollout(members[e], Z[0], Z.shape[0] - 1) - Z) ** 2))

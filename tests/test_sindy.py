@@ -223,6 +223,19 @@ def _polished(Z, dZ, spec, mask):
     return Xi
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_polish_is_per_column_lstsq_on_each_support(seed):
+    spec = LibrarySpec(dim=3, poly_degree=2, trig=(("sin", 1.0),))
+    rng = np.random.default_rng(seed)
+    Z = rng.uniform(-1, 1, (60, 3))
+    dZ = rng.standard_normal((60, 3))
+    mask = rng.random((spec.term_count, 3)) < 0.5
+    mask[:, 0] = False                      # an empty support stays zero
+    theta = sindy.evaluate_library(Z, spec)
+    for library in (theta, np.ascontiguousarray(theta)):
+        assert np.array_equal(sindy.polish(library, dZ, mask), _polished(Z, dZ, spec, mask))
+
+
 @pytest.mark.parametrize("ridge", [0.0, 1e-3])
 @pytest.mark.parametrize("iters", [20, 1])
 def test_stlsq_result_is_polish_on_final_support(iters, ridge):
@@ -341,7 +354,9 @@ def test_stlsq_ridge_free_passes_at_cond_1e10():
     dZ = np.random.default_rng(18).standard_normal((40, 2))
     Xi, mask = sindy._stlsq(theta, dZ, threshold=0.0, iters=1, ridge=0.0)
     assert mask.all()
-    assert np.array_equal(Xi, np.linalg.lstsq(theta, dZ, rcond=None)[0])
+    # The result is each column's ridge-free polish on the full support.
+    polished = [np.linalg.lstsq(theta, dZ[:, j], rcond=None)[0] for j in range(2)]
+    assert np.array_equal(Xi, np.stack(polished, axis=1))
 
 
 @pytest.mark.parametrize("ridge", [0.0, 1e-6])
@@ -629,6 +644,23 @@ def test_threshold_prune_definition():
     pruned = sindy.threshold_prune(model, 0.1)
     assert pruned.mask.tolist() == [[True], [False]]
     assert pruned.Xi.tolist() == [[0.5], [0.0]]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_threshold_prune_stacked_ladder_matches_member_loop(seed):
+    spec = LibrarySpec(dim=3, poly_degree=2)
+    rng = np.random.default_rng(seed)
+    mask = rng.random((5, spec.term_count, 3)) < 0.7
+    Xi = np.where(mask, rng.standard_normal(mask.shape), 0.0)
+    ladder = sindy.threshold_ladder(0.1, 1.5, 5)
+    stacked = sindy.threshold_prune(SindyModel(spec=spec, Xi=Xi, mask=mask),
+                                    np.array(ladder)[:, None, None])
+    for e, thr in enumerate(ladder):
+        one = sindy.threshold_prune(SindyModel(spec=spec, Xi=Xi[e], mask=mask[e]), thr)
+        assert np.array_equal(stacked.mask[e], one.mask)
+        assert np.array_equal(stacked.Xi[e], one.Xi)
+    with pytest.raises(ValueError, match="threshold"):
+        sindy.threshold_prune(stacked, np.array([0.1, -0.1, 0.1, 0.1, 0.1])[:, None, None])
 
 
 def test_threshold_prune_zero_threshold_noop():
