@@ -30,17 +30,45 @@ class UsageError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise UsageError, which ``main`` reports on one line."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def _null_non_finite(obj):
+    """The JSON payload with NaN and infinite floats replaced by None (written as null)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _null_non_finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_null_non_finite(v) for v in obj]
+    return obj
+
+
+def _json(obj, **kwargs) -> str:
+    """``obj`` as strict JSON, the form of every file and stdout line: a non-finite number is null."""
+    return json.dumps(_null_non_finite(obj), allow_nan=False, **kwargs)
+
+
+def _dump(path: Path, payload: dict) -> None:
+    path.write_text(_json(payload, indent=2) + "\n")
+
+
 def _write_manifest(out_dir: Path, command: str, payload: dict) -> None:
     manifest = {"tool": "shredkit", "version": __version__, "command": command}
     manifest.update(payload)
-    with open(out_dir / "manifest.json", "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    (out_dir / "manifest.json").write_text(_json(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _ensure_out(path_str: str) -> Path:
     out = Path(path_str)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise UsageError(f"output directory {path_str!r} is, or lies under, a file") from None
     return out
 
 
@@ -64,6 +92,8 @@ def _is_mode(entry) -> bool:
 def cmd_generate(args) -> int:
     if args.frames < 1:
         raise UsageError(f"--frames must be >= 1, got {args.frames}")
+    if min(args.grid) < 1:
+        raise UsageError(f"--grid must be two integers >= 1, got {args.grid}")
     if not 0 <= args.noise < math.inf:
         raise UsageError(f"--noise must be finite and >= 0, got {args.noise}")
     for flag, value in (("--theta0", args.theta0), ("--omega0", args.omega0)):
@@ -79,15 +109,14 @@ def cmd_generate(args) -> int:
         h, w = args.grid
         for pattern, *_ in modes:
             p, q = data.pattern_wavenumbers(pattern)
-            # A grid without cells is the field's error, reported when it is built.
-            if h >= 1 and w >= 1 and (p > h or q > w):
+            if p > h or q > w:
                 raise UsageError(f"--modes pattern {pattern} has wavenumbers (p, q) = "
                                  f"({p}, {q}), beyond the {h}x{w} grid")
         fld, meta = data.gen_modal_field(grid=tuple(args.grid), modes=[tuple(m) for m in modes],
                                          n_frames=args.frames, dt=args.dt,
                                          noise=args.noise, seed=args.seed)
         data.save_field(fld, out / "field.fld")
-        data.save_metadata(meta, out / "truth.json")
+        _dump(out / "truth.json", meta)
     elif args.kind == "pendulum":
         coeffs = data.PendulumCoeffs()
         fld, traj, meta = data.gen_pendulum(theta0=args.theta0, omega0=args.omega0,
@@ -96,13 +125,13 @@ def cmd_generate(args) -> int:
                                             seed=args.seed)
         meta["angle_trajectory"] = traj.tolist()
         data.save_field(fld, out / "field.fld")
-        data.save_metadata(meta, out / "truth.json")
+        _dump(out / "truth.json", meta)
     else:  # sine
         traj = data.gen_sine_ode(args.theta0, args.omega0, args.frames - 1, args.dt)
         fld = data.Field(data=traj.astype(np.float32).astype(np.float64), dt_physical=args.dt)
         data.save_field(fld, out / "field.fld")
-        data.save_metadata({"kind": "sine", "x0": args.theta0, "v0": args.omega0,
-                            "dt": args.dt}, out / "truth.json")
+        _dump(out / "truth.json", {"kind": "sine", "x0": args.theta0, "v0": args.omega0,
+                                    "dt": args.dt})
     _write_manifest(out, "generate", {"args": {k: v for k, v in vars(args).items()
                                                if k != "func"}})
     print(f"wrote {out / 'field.fld'} and {out / 'truth.json'}")
@@ -187,14 +216,17 @@ def cmd_train(args) -> int:
     model, log = shred.train(dataset, train_cfg, resume_from=args.resume)
     model.extra = {"sensors": list(sensors.indices), "scale": list(fld.scale or ()),
                    "grid": list(fld.grid_shape or ()), "field": str(cfg["field"])}
-    shred.write_log_jsonl(log, out / "log.jsonl")
+    (out / "log.jsonl").write_text("".join(_json(record) + "\n" for record in log))
     shred.save_checkpoint(model, model.optimizer, train_cfg.epochs, out / "model.shrd")
 
     summary = {"final_loss": log[-1]["loss"] if log else None}
     try:
         selected = model.selected_model()
         (out / "equations.txt").write_text(sindy.equations_text(selected) + "\n")
-        (out / "model.json").write_text(selected.to_json() + "\n")
+        (out / "model.json").write_text(_json(
+            {"spec": asdict(selected.spec), "Xi": selected.Xi.tolist(),
+             "mask": selected.mask.astype(int).tolist(), "dt": selected.dt, "k": selected.k},
+            indent=2) + "\n")
         summary["selected_nnz"] = selected.nnz
         try:
             analysis = sindy.analyze_linear_system(selected.linear_generator())
@@ -207,7 +239,7 @@ def cmd_train(args) -> int:
     except shred.SelectionError as exc:
         summary["selection"] = f"unavailable: {exc}"
     _write_manifest(out, "train", {"run_config": cfg, "train_config": asdict(train_cfg)})
-    print(json.dumps(summary))
+    print(_json(summary))
     return EXIT_OK
 
 
@@ -262,52 +294,54 @@ def cmd_forecast(args) -> int:
         raise UsageError(f"--start {start} + lag {lag} exceeds {fld.n_frames} frames")
     init_window = fld.data[start:start + lag][:, sensors]
 
-    report = evaluation.forecast(model, init_window, args.horizon)
+    predictions, latents = evaluation.forecast(model, init_window, args.horizon)
+    with np.errstate(over="ignore"):
+        quantized = predictions.astype(np.float32)
+    outside = ~np.isfinite(quantized).all(axis=1)
+    if outside.any():
+        raise FloatingPointError(f"predicted frame {int(outside.argmax())} is outside float32 "
+                                 f"range, so predictions.fld cannot hold it")
     t0 = start + lag - 1
     avail = fld.n_frames - t0
-    n_eval = min(report.predictions.shape[0], avail)
-    truncated = n_eval < report.predictions.shape[0]
+    n_eval = min(predictions.shape[0], avail)
+    truncated = n_eval < predictions.shape[0]
     windows = _parse_windows(args.windows) if args.windows else [(0, n_eval)]
     clipped = [(lo, min(hi, n_eval)) for lo, hi in windows if lo < n_eval]
     if not clipped:
         raise UsageError(f"--windows {args.windows}: no window starts within the "
                          f"{n_eval} forecast frames")
     truth = fld.data[t0:t0 + n_eval]
-    rows, total = evaluation.horizon_mse(report.predictions[:n_eval], truth, clipped)
-    report.mse_rows, report.total_mse = rows, total
-
-    out = _ensure_out(args.out)
+    rows, total = evaluation.horizon_mse(predictions[:n_eval], truth, clipped)
+    traces = None
     if args.held_out_sensors:
         held = [int(x) for x in Path(args.held_out_sensors).read_text().split()]
         for i in held:
             if not 0 <= i < fld.n_space:
                 raise UsageError(f"held-out sensor {i} outside field size {fld.n_space}")
-        report.traces = evaluation.sensor_traces(report.predictions[:n_eval], truth,
-                                                 held, tuple(sensors))
-        with open(out / "traces.csv", "w") as f:
-            f.write("step," + ",".join(f"pred_{i},true_{i}" for i in report.traces) + "\n")
-            for t in range(n_eval):
-                cells = []
-                for i in report.traces:
-                    p, tr = report.traces[i]
-                    cells.append(f"{p[t]:.9g},{tr[t]:.9g}")
-                f.write(f"{t}," + ",".join(cells) + "\n")
+        traces = evaluation.sensor_traces(predictions[:n_eval], truth, held, tuple(sensors))
 
-    payload = report.to_dict()
-    payload["truncated_truth"] = truncated
-    payload["latent_fft_frequencies"] = evaluation.latent_frequencies(
-        report.latents, model.config.dt)
     if truncated:
         print(f"warning: truth has only {n_eval} frames; MSE rows truncated", file=sys.stderr)
-    with open(out / "forecast.json", "w") as f:
-        # json.dumps takes the C encoder; json.dump streams through the Python one.
-        f.write(json.dumps(payload, separators=(",", ":")) + "\n")
-    pred_field = data.Field(data=report.predictions.astype(np.float32).astype(np.float64),
-                            grid_shape=fld.grid_shape, dt_physical=fld.dt_physical)
+    out = _ensure_out(args.out)
+    if traces is not None:
+        with open(out / "traces.csv", "w") as f:
+            f.write("step," + ",".join(f"pred_{i},true_{i}" for i in traces) + "\n")
+            for t in range(n_eval):
+                cells = []
+                for i in traces:
+                    p, tr = traces[i]
+                    cells.append(f"{p[t]:.9g},{tr[t]:.9g}")
+                f.write(f"{t}," + ",".join(cells) + "\n")
+    payload = {"horizon": args.horizon, "mse_rows": rows, "total_mse": total,
+               "latents": latents.tolist(), "truncated_truth": truncated,
+               "latent_fft_frequencies": evaluation.latent_frequencies(latents, model.config.dt)}
+    (out / "forecast.json").write_text(_json(payload, separators=(",", ":")) + "\n")
+    pred_field = data.Field(data=quantized.astype(np.float64), grid_shape=fld.grid_shape,
+                            dt_physical=fld.dt_physical)
     data.save_field(pred_field, out / "predictions.fld")
     _write_manifest(out, "forecast", {"args": {k: v for k, v in vars(args).items()
                                                if k != "func"}})
-    print(json.dumps({"total_mse": total, "rows": rows}))
+    print(_json({"total_mse": total, "rows": rows}))
     return EXIT_OK
 
 
@@ -322,23 +356,20 @@ def cmd_landscape(args) -> int:
         raise UsageError(f"--alpha must be finite and >= 0, got {args.alpha}")
     if not 0 <= args.tolerance < math.inf:
         raise UsageError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
+    try:
+        seeds = tuple(int(s) for s in args.seeds.split(","))
+    except ValueError:
+        seeds = ()
+    if len(seeds) != 2 or min(seeds) < 0:
+        raise UsageError(f"--seeds expects two comma-separated integers >= 0, got {args.seeds!r}")
     model, _, _ = shred.load_checkpoint(args.checkpoint)
     fld, sensors = _checkpoint_field(model, args.field)
     dataset = data.make_windows(fld, data.SensorSet(indices=tuple(sensors), seed=-1),
                                 model.config.lag)
     loss_fn = evaluation.batch_loss_fn(model, dataset)
 
-    seeds = tuple(int(s) for s in args.seeds.split(","))
-    if len(seeds) != 2:
-        raise UsageError("--seeds expects two comma-separated integers")
     grid = evaluation.landscape_scan(model, loss_fn, alpha=args.alpha,
                                      grid_n=args.grid, seeds=seeds)
-    out = _ensure_out(args.out)
-    with open(out / "landscape.csv", "w") as f:
-        f.write("t_x,t_y,loss\n")
-        for tx, ty, v in grid.rows():
-            f.write(f"{tx:.9g},{ty:.9g},{v:.17g}\n")
-
     segs = evaluation.landscape_segments(model, loss_fn, alpha=args.alpha, seeds=seeds,
                                          n_segments=args.segments, n_points=9,
                                          seed=seeds[0])
@@ -347,12 +378,17 @@ def cmd_landscape(args) -> int:
     verdict = {"convex": bool(passed), "segment_pass_fraction": frac,
                "violations": len(violations), "tolerance": args.tolerance,
                "base_loss": grid.base_loss}
-    with open(out / "convexity.json", "w") as f:
-        json.dump(verdict, f, indent=2)
-        f.write("\n")
+    out = _ensure_out(args.out)
+    with open(out / "landscape.csv", "w") as f:
+        f.write("t_x,t_y,loss\n")
+        ts = grid.ts.tolist()
+        for tx, row in zip(ts, grid.values.tolist()):
+            for ty, v in zip(ts, row):
+                f.write(f"{tx:.9g},{ty:.9g},{v:.17g}\n")
+    _dump(out / "convexity.json", verdict)
     _write_manifest(out, "landscape", {"args": {k: v for k, v in vars(args).items()
                                                 if k != "func"}})
-    print(json.dumps(verdict))
+    print(_json(verdict))
     return EXIT_OK
 
 
@@ -360,69 +396,48 @@ def cmd_landscape(args) -> int:
 # validate-theory
 # ---------------------------------------------------------------------------
 
+def _sine_payload(report: evaluation.SineComparisonReport) -> dict:
+    return {**asdict(report), "sindy_beats_gru": bool(report.sindy_mse < report.gru_mse)}
+
+
 def cmd_validate_theory(args) -> int:
-    out = _ensure_out(args.out)
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    if args.suite != "thm1" and args.gru_epochs < 1:
+        raise UsageError(f"--gru-epochs must be >= 1, got {args.gru_epochs}")
+    manifest = {"suite": args.suite, "seed": args.seed}
     if args.suite == "thm1":
         t0 = time.perf_counter()
         report = evaluation.theory_scaling_experiment(trials=args.trials, seed=args.seed)
-        wall = time.perf_counter() - t0
-        payload = asdict(report)
+        manifest.update(trials=args.trials, workers=evaluation.worker_count(),
+                        wall_time_s=time.perf_counter() - t0)
         slope_ok = -0.6 <= report.slope_n <= -0.4
         lo, hi = report.s_ratio_ci
         ratio_ok = lo <= 2.0 <= hi
-        payload["slope_ok"] = slope_ok
-        payload["noise_linearity_ok"] = ratio_ok
-        _dump(out / "thm1.json", payload)
-        print(json.dumps({"slope_n": report.slope_n, "slope_ok": slope_ok,
-                          "s_ratio": report.s_ratio, "noise_linearity_ok": ratio_ok}))
-        _write_manifest(out, "validate-theory", {"suite": "thm1", "seed": args.seed,
-                                                 "trials": args.trials,
-                                                 "workers": evaluation.worker_count(),
-                                                 "wall_time_s": wall})
-        return EXIT_OK if (slope_ok and ratio_ok) else EXIT_ACCEPTANCE
-    if args.gru_epochs < 1:
-        raise UsageError(f"--gru-epochs must be >= 1, got {args.gru_epochs}")
-    if args.suite == "sine":
+        payload = {**asdict(report), "slope_ok": slope_ok, "noise_linearity_ok": ratio_ok}
+        line = {"slope_n": report.slope_n, "slope_ok": slope_ok,
+                "s_ratio": report.s_ratio, "noise_linearity_ok": ratio_ok}
+        ok = slope_ok and ratio_ok
+    elif args.suite == "sine":
         report = evaluation.sine_comparison(
             evaluation.SineComparisonConfig(seed=args.seed, gru_epochs=args.gru_epochs))
-        payload = report.to_dict()
         coeff_ok = abs(report.sin_coefficient + 1.0) < 1e-3
         order_ok = report.sindy_mse < report.gru_mse
-        payload["sin_coefficient_ok"] = coeff_ok
-        payload["ordering_ok"] = order_ok
-        _dump(out / "sine.json", payload)
-        print(json.dumps(payload))
-        _write_manifest(out, "validate-theory", {"suite": "sine", "seed": args.seed})
-        return EXIT_OK if (coeff_ok and order_ok) else EXIT_ACCEPTANCE
-    # thm2-qual: recurrent-net extrapolation error must compound with horizon.
-    short, long = evaluation.sine_horizons(evaluation.SineComparisonConfig(
-        seed=args.seed, n_test=2000, gru_epochs=args.gru_epochs), (1000, 2000))
-    payload = {"short": short.to_dict(), "long": long.to_dict()}
-    ok = (short.sindy_mse < short.gru_mse and long.sindy_mse < long.gru_mse
-          and long.gru_mse >= short.gru_mse)
-    payload["qualitative_ok"] = ok
-    _dump(out / "thm2_qual.json", payload)
-    print(json.dumps(payload))
-    _write_manifest(out, "validate-theory", {"suite": "thm2-qual", "seed": args.seed})
+        payload = line = {**_sine_payload(report), "sin_coefficient_ok": coeff_ok,
+                          "ordering_ok": order_ok}
+        ok = coeff_ok and order_ok
+    else:  # thm2-qual: recurrent-net extrapolation error must compound with horizon.
+        short, long = evaluation.sine_horizons(evaluation.SineComparisonConfig(
+            seed=args.seed, n_test=2000, gru_epochs=args.gru_epochs), (1000, 2000))
+        ok = (short.sindy_mse < short.gru_mse and long.sindy_mse < long.gru_mse
+              and long.gru_mse >= short.gru_mse)
+        payload = line = {"short": _sine_payload(short), "long": _sine_payload(long),
+                          "qualitative_ok": ok}
+    out = _ensure_out(args.out)
+    _dump(out / f"{args.suite.replace('-', '_')}.json", payload)
+    print(_json(line))
+    _write_manifest(out, "validate-theory", manifest)
     return EXIT_OK if ok else EXIT_ACCEPTANCE
-
-
-def _null_non_finite(obj):
-    """The JSON payload with NaN and infinite floats replaced by None (written as null)."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _null_non_finite(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_null_non_finite(v) for v in obj]
-    return obj
-
-
-def _dump(path: Path, payload: dict) -> None:
-    """Write a report as strict JSON: a non-finite number becomes null."""
-    with open(path, "w") as f:
-        json.dump(_null_non_finite(payload), f, indent=2, allow_nan=False)
-        f.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +445,7 @@ def _dump(path: Path, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="shredkit", description=__doc__, allow_abbrev=False)
+    p = _Parser(prog="shredkit", description=__doc__, allow_abbrev=False)
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="write a synthetic field + ground-truth sidecar",
@@ -491,9 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (shred.NumericalAbortError, sindy.RolloutDivergenceError, FloatingPointError) as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)

@@ -8,7 +8,6 @@ values once, at the end of generation, so save/load round-trips are bit-exact.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import struct
@@ -407,9 +406,3 @@ def gen_sine_ode(x0: float, v0: float, n_steps: int, dt: float) -> np.ndarray:
         return np.array([y[1], -np.sin(y[0])])
 
     return _rk4(deriv, np.array([x0, v0]), dt, n_steps)
-
-
-def save_metadata(meta: dict, path) -> None:
-    with open(path, "w") as f:
-        json.dump(meta, f, indent=2)
-        f.write("\n")

@@ -6,7 +6,7 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -23,11 +23,17 @@ class EvaluationError(ValueError):
 
 
 def worker_count() -> int:
-    """Worker cap from SHRED_THREADS; defaults to available parallelism."""
+    """Worker cap from SHRED_THREADS, an integer >= 1; unset or empty, the CPU count."""
     env = os.environ.get("SHRED_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise EvaluationError(f"SHRED_THREADS must be an integer >= 1, got {env!r}")
+    return workers
 
 
 # The function _pmap's forked workers call; set only while a pool runs.
@@ -61,33 +67,20 @@ def _pmap(fn, items: list[tuple]):
 # Forecasting
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ForecastReport:
-    predictions: np.ndarray          # (H+1, N); row 0 is the init window's decode
-    latents: np.ndarray              # (H+1, d)
-    mse_rows: list[dict] = field(default_factory=list)
-    total_mse: float | None = None
-    traces: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"horizon": int(self.predictions.shape[0] - 1),
-                "mse_rows": self.mse_rows, "total_mse": self.total_mse,
-                "latents": self.latents.tolist()}
-
-
-def forecast(model: ShredModel, init_window: np.ndarray, horizon: int) -> ForecastReport:
+def forecast(model: ShredModel, init_window: np.ndarray,
+             horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """Pure latent rollout: encode once, integrate the discovered dynamics, decode.
 
-    No sensor feedback after initialization. Row t of the predictions aligns
-    with the frame t steps after the init window's final frame.
+    Returns the predictions (horizon + 1, N) and the latents (horizon + 1, d).
+    No sensor feedback after initialization. Row t aligns with the frame t
+    steps after the init window's final frame; row 0 is the init window's decode.
     """
     init_window = np.asarray(init_window, dtype=np.float64)
     if init_window.ndim != 2 or init_window.shape[0] != model.config.lag:
         raise EvaluationError(
             f"init window must be (lag={model.config.lag}, sensors), got {init_window.shape}")
     latents = model.rollout_np(model.encode_np(init_window[None])[0], horizon)
-    predictions = model.decode_np(latents)
-    return ForecastReport(predictions=predictions, latents=latents)
+    return model.decode_np(latents), latents
 
 
 def horizon_mse(pred: np.ndarray, truth: np.ndarray,
@@ -152,11 +145,6 @@ class LandscapeGrid:
     ts: np.ndarray             # grid coordinates in [-1, 1]
     values: np.ndarray         # (n, n) loss at (t_x, t_y)
     base_loss: float
-
-    def rows(self):
-        for i, tx in enumerate(self.ts):
-            for j, ty in enumerate(self.ts):
-                yield float(tx), float(ty), float(self.values[i, j])
 
 
 def _directions(params: dict[str, Tensor], seed: int) -> dict[str, np.ndarray]:
@@ -494,11 +482,6 @@ class SineComparisonReport:
     sindy_mse: float
     gru_mse: float
     sin_coefficient: float
-
-    def to_dict(self) -> dict:
-        return {"sindy_mse": self.sindy_mse, "gru_mse": self.gru_mse,
-                "sin_coefficient": self.sin_coefficient,
-                "sindy_beats_gru": bool(self.sindy_mse < self.gru_mse)}
 
 
 def sine_comparison(config: SineComparisonConfig | None = None) -> SineComparisonReport:

@@ -748,9 +748,3 @@ def load_checkpoint(path) -> tuple[ShredModel, dc.AdamW, int]:
                                 header["adam_step"])
     model.optimizer = optimizer
     return model, optimizer, int(header["epoch"])
-
-
-def write_log_jsonl(log: list[dict], path) -> None:
-    with open(path, "w") as f:
-        for record in log:
-            f.write(json.dumps(record) + "\n")

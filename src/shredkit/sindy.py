@@ -14,7 +14,6 @@ model is Xi[linear].T.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -102,11 +101,6 @@ class LibrarySpec:
             raise DimensionMismatchError("library has no linear terms")
         start = 1 if self.include_constant else 0
         return slice(start, start + self.dim)
-
-    def to_dict(self) -> dict:
-        return {"dim": self.dim, "poly_degree": self.poly_degree,
-                "include_constant": self.include_constant,
-                "trig": [[k, f] for k, f in self.trig]}
 
 
 def evaluate_library(Z: np.ndarray, spec: LibrarySpec) -> np.ndarray:
@@ -216,13 +210,6 @@ class SindyModel:
     def linear_generator(self) -> np.ndarray:
         """Column-convention d x d generator from the pure linear terms."""
         return self.effective_Xi()[self.spec.linear_slice, :].T
-
-    def to_dict(self) -> dict:
-        return {"spec": self.spec.to_dict(), "Xi": self.Xi.tolist(),
-                "mask": self.mask.astype(int).tolist(), "dt": self.dt, "k": self.k}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def threshold_ladder(low: float, high: float, count: int) -> list[float]:

@@ -1,5 +1,6 @@
 """End-to-end command wiring, exit codes, and manifest reproducibility."""
 
+import argparse
 import importlib.metadata
 import io
 import json
@@ -10,7 +11,9 @@ import shlex
 import struct
 import subprocess
 import sys
+import tempfile
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 try:
@@ -84,14 +87,15 @@ def test_generate_sine_trajectory_field(tmp_path):
     assert fld.data.shape == (50, 2)
 
 
-def test_generate_invalid_kind_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        main(["generate", "lorenz", "--out", "/tmp/x"])
-    assert exc.value.code == 2
+def test_generate_invalid_kind_usage_error(tmp_path, capsys):
+    assert main(["generate", "lorenz", "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: shredkit generate: argument kind: invalid choice: 'lorenz'")
+    assert err.count("\n") == 1 and not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("argv, words", [
-    (["modal", "--grid", "0", "0"], "(T, N) with T, N >= 1"),
+    (["modal", "--grid", "0", "0"], "--grid must be two integers >= 1"),
     (["modal", "--dt", "nan"], "dt_physical must be finite"),
     (["modal", "--noise", "-1"], "--noise must be finite and >= 0"),
     (["modal", "--noise", "nan"], "--noise must be finite and >= 0"),
@@ -116,6 +120,8 @@ def test_generate_invalid_kind_usage_error():
     (["modal", "--grid", "4", "4", "--modes", "[[25, 1.0, 6.0, 0.0]]"],
      "--modes pattern 25 has wavenumbers (p, q) = (5, 3), beyond the 4x4 grid"),
     (["modal", "--modes", f"[[{10 ** 400}, 1.0, 6.0, 0.0]]"], "beyond the 16x16 grid"),
+    (["modal", "--grid", "-1", "5"], "--grid must be two integers >= 1, got [-1, 5]"),
+    (["pendulum", "--grid", "5", "0"], "--grid must be two integers >= 1, got [5, 0]"),
 ])
 def test_generate_malformed_input_exit_2(tmp_path, capsys, argv, words):
     out = tmp_path / "gen"
@@ -193,6 +199,15 @@ def test_train_writes_artifacts(modal_dir, tmp_path):
     log = _strip_wall(out / "log.jsonl")
     assert [r["epoch"] for r in log] == [1, 2, 3]
     assert "wall_time" in json.loads((out / "log.jsonl").read_text().splitlines()[0])
+
+
+def test_model_json_round_trip(trained_dir):
+    selected = shred.load_checkpoint(trained_dir / "model.shrd")[0].selected_model()
+    again = json.loads((trained_dir / "model.json").read_text())
+    assert again["spec"] == json.loads(json.dumps(asdict(selected.spec)))
+    assert np.array_equal(np.array(again["Xi"]), selected.Xi)
+    assert np.array_equal(np.array(again["mask"], dtype=bool), selected.mask)
+    assert (again["dt"], again["k"]) == (selected.dt, selected.k)
 
 
 def test_train_missing_field_exit_2(tmp_path):
@@ -514,6 +529,41 @@ def test_forecast_malformed_input_exit_2(modal_dir, trained_dir, tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
     assert not (tmp_path / "forecast.json").exists()
+
+
+@pytest.fixture(scope="module")
+def overflow_ckpt(trained_dir, tmp_path_factory):
+    """The trained checkpoint with a decoder bias of 1e200: finite in float64, beyond float32."""
+    model, optimizer, epoch = shred.load_checkpoint(trained_dir / "model.shrd")
+    model.decoder.out_b.data[:] = 1e200
+    path = tmp_path_factory.mktemp("overflow") / "model.shrd"
+    shred.save_checkpoint(model, optimizer, epoch, path)
+    return path
+
+
+def test_forecast_beyond_float32_exit_3_writes_nothing(modal_dir, overflow_ckpt, tmp_path,
+                                                       capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["forecast", "--checkpoint", str(overflow_ckpt),
+                     "--field", str(modal_dir / "field.fld"), "--horizon", "5",
+                     "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical abort: predicted frame 0 is outside float32 range, "
+        "so predictions.fld cannot hold it"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_landscape_overflowing_loss_is_strict_json(modal_dir, overflow_ckpt, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # norms and losses overflow
+        assert main(["landscape", "--checkpoint", str(overflow_ckpt),
+                     "--field", str(modal_dir / "field.fld"), "--grid", "3", "--segments", "3",
+                     "--out", str(tmp_path)]) == 0
+    verdict = _strict_json((tmp_path / "convexity.json").read_text())
+    assert verdict["base_loss"] is None and verdict["convex"] is False
+    assert _strict_json(capsys.readouterr().out) == verdict
 
 
 def test_forecast_zero_horizon_scores_the_initial_frame(modal_dir, trained_dir, tmp_path):
@@ -895,10 +945,38 @@ def test_validate_theory_thm1_excluded_cell_is_strict_json(tmp_path, monkeypatch
     assert payload["slope_ok"] and payload["noise_linearity_ok"]
 
 
-def test_validate_theory_unknown_suite_exit_2(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["validate-theory", "--suite", "thm9", "--out", str(tmp_path)])
-    assert exc.value.code == 2
+def test_validate_theory_unknown_suite_exit_2(tmp_path, capsys):
+    assert main(["validate-theory", "--suite", "thm9", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "argument --suite: invalid choice: 'thm9'" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, env, words", [
+    (["--suite", "thm1", "--seed", "-1"], None, "--seed must be >= 0, got -1"),
+    (["--suite", "sine", "--seed", "-1"], None, "--seed must be >= 0, got -1"),
+    (["--suite", "thm1"], "abc", "SHRED_THREADS must be an integer >= 1, got 'abc'"),
+    (["--suite", "thm1"], "-5", "SHRED_THREADS must be an integer >= 1, got '-5'"),
+    (["--suite", "thm1"], "0", "SHRED_THREADS must be an integer >= 1, got '0'"),
+])
+def test_validate_theory_bad_seed_or_threads_exit_2_writes_nothing(tmp_path, monkeypatch, capsys,
+                                                                   argv, env, words):
+    if env is not None:
+        monkeypatch.setenv("SHRED_THREADS", env)
+    assert main(["validate-theory", *argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {words}"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("out", ["a-file", "a-file/run"])
+@pytest.mark.parametrize("argv", [["generate", "sine", "--frames", "10"],
+                                  ["validate-theory", "--suite", "sine", "--gru-epochs", "1"]])
+def test_out_naming_a_file_exit_2(tmp_path, monkeypatch, capsys, argv, out):
+    monkeypatch.chdir(tmp_path)
+    Path("a-file").write_text("kept")
+    assert main([*argv, "--out", out]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: output directory {out!r} is, or lies under, a file"]
+    assert Path("a-file").read_text() == "kept"
 
 
 def test_validate_theory_thm1_manifest_records_workers_and_wall_time(tmp_path, monkeypatch):
@@ -939,7 +1017,8 @@ def test_validate_theory_thm2_qual_short_is_the_thousand_step_run(tmp_path):
                  "--out", str(tmp_path)]) in (0, 4)
     payload = json.loads((tmp_path / "thm2_qual.json").read_text())
     short = evaluation.sine_comparison(evaluation.SineComparisonConfig(n_test=1000, gru_epochs=2))
-    assert payload["short"] == short.to_dict()
+    assert payload["short"] == {**asdict(short),
+                                "sindy_beats_gru": short.sindy_mse < short.gru_mse}
 
 
 def test_validate_theory_thm2_qual_late_divergence_keeps_short_score(tmp_path, monkeypatch):
@@ -975,10 +1054,10 @@ def test_validate_theory_gru_epochs_below_one_exit_2(tmp_path, capsys, suite, ep
     ["landscape", "--checkpoint", "m.shrd", "--field", "f.fld", "--seg", "4"],
     ["validate-theory", "--suite", "sine", "--gru", "3"],
 ])
-def test_abbreviated_flag_exit_2(argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+def test_abbreviated_flag_exit_2(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {argv[-2]}" in err and err.count("\n") == 1
 
 
 def test_console_entry_point_help():
@@ -1087,7 +1166,7 @@ def test_readme_commands_parse():
     for argv in commands:
         try:
             parser.parse_args(argv[1:])
-        except SystemExit:
+        except (SystemExit, cli.UsageError):
             failed.append(shlex.join(argv))
     assert failed == []
     # The recipes exercise every subcommand, which also shows the collector found them.
@@ -1105,3 +1184,53 @@ def test_readme_run_configs_validate():
         cli._check_keys(cfg, cli._RUN_KEYS, "run config")
         cli._check_keys(cfg["sensors"], cli._SENSOR_KEYS, "sensors config")
         shred.ShredConfig.from_dict(cfg["train"])
+
+
+# Strings a mistyped flag can carry. The integers stay small, so that a valid
+# --frames, --grid, --horizon, --trials, --segments or --gru-epochs sizes a
+# run of a few MB at most.
+_flag_strings = st.one_of(
+    st.sampled_from(["nan", "NaN", "inf", "-inf", "1e400", "-1e400", "", "-0", "2.5", "abc",
+                     "[1, 2]", '{"a": 1}', "null", "[[0, 1.0, NaN, 0.0]]", "1:2", "0,1",
+                     "-1,0", "3,x"]),
+    st.integers(-3, 9).map(str))
+_FLAG_COMMANDS = ("generate", "forecast", "landscape", "validate-theory")
+_subcommands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+_SWEEP = evaluation.theory_scaling_experiment
+_FLAGS = [(command, action.option_strings[0], action.nargs or 1)
+          for command in _FLAG_COMMANDS for action in _subcommands[command]._actions
+          if action.option_strings and action.option_strings[0] != "-h"]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flag=st.sampled_from(_FLAGS), value=_flag_strings,
+       kind=st.sampled_from(["modal", "pendulum", "sine"]))
+def test_command_with_one_flag_swapped_exits_cleanly(modal_dir, trained_dir, tmp_path,
+                                                      monkeypatch, capsys, flag, value, kind):
+    command, name, nargs = flag
+    monkeypatch.chdir(tempfile.mkdtemp(dir=tmp_path))
+    monkeypatch.setenv("SHRED_THREADS", "1")
+    monkeypatch.setattr(evaluation, "theory_scaling_experiment",
+                        lambda **kw: _SWEEP(n_values=[100, 1000], **kw))
+    run = ["--checkpoint", str(trained_dir / "model.shrd"), "--field", str(modal_dir / "field.fld")]
+    base = {"generate": [kind, "--frames", "40", "--grid", "4", "4", "--out", "out"],
+            "forecast": [*run, "--horizon", "5", "--out", "out"],
+            "landscape": [*run, "--grid", "3", "--segments", "3", "--out", "out"],
+            "validate-theory": ["--suite", "thm1", "--out", "out"]}[command]
+    # The = form keeps a value such as -inf from reading as a flag.
+    argv = [command, *base, *([f"{name}={value}"] if nargs == 1 else [name, *[value] * nargs])]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3, 4), (argv, err)
+    if code:
+        assert err.count("\n") == 1, (argv, err)
+    for path in Path().rglob("*.json"):
+        _strict_json(path.read_text())
+    if command != "generate":
+        for line in out.splitlines():
+            _strict_json(line)

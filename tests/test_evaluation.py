@@ -34,9 +34,9 @@ def _trained_tiny_model(epochs=3, mode="sindy"):
 def test_forecast_zero_horizon_single_frame():
     model, ds, fld, sensors = _trained_tiny_model()
     init = fld.data[:8][:, sensors.indices]
-    report = forecast(model, init, horizon=0)
-    assert report.predictions.shape == (1, fld.n_space)
-    assert report.latents.shape == (1, model.config.latent_dim)
+    predictions, latents = forecast(model, init, horizon=0)
+    assert predictions.shape == (1, fld.n_space)
+    assert latents.shape == (1, model.config.latent_dim)
 
 
 def test_forecast_identity_dynamics_frozen_latent():
@@ -46,9 +46,9 @@ def test_forecast_identity_dynamics_frozen_latent():
         mask[:] = True
     model.selected_index = 0
     init = fld.data[:8][:, sensors.indices]
-    report = forecast(model, init, horizon=5)
+    predictions, _ = forecast(model, init, horizon=5)
     for t in range(6):
-        assert np.array_equal(report.predictions[t], report.predictions[0])
+        assert np.array_equal(predictions[t], predictions[0])
 
 
 def test_forecast_requires_lag_rows():
@@ -60,8 +60,7 @@ def test_forecast_requires_lag_rows():
 def test_forecast_koopman_mode_uses_linear_map():
     model, ds, fld, sensors = _trained_tiny_model(mode="koopman")
     init = fld.data[:8][:, sensors.indices]
-    report = forecast(model, init, horizon=4)
-    z = report.latents
+    _, z = forecast(model, init, horizon=4)
     for t in range(4):
         assert np.allclose(z[t + 1], z[t] @ model.K.data, atol=1e-12)
 
@@ -124,13 +123,13 @@ def test_forecast_linear_member_matches_matrix_exponential():
     model.config.ministeps = 20
     init = fld.data[:8][:, sensors.indices]
     horizon = 60
-    report = forecast(model, init, horizon=horizon)
-    z0 = report.latents[0]
+    _, latents = forecast(model, init, horizon=horizon)
+    z0 = latents[0]
     h = model.config.dt / model.config.ministeps
     worst = 0.0
     for t in range(horizon + 1):
         truth = scipy.linalg.expm(G * model.config.dt * t) @ z0
-        worst = max(worst, float(np.linalg.norm(report.latents[t] - truth)))
+        worst = max(worst, float(np.linalg.norm(latents[t] - truth)))
     # Per-step truncation ~ h*|G|^2*dt/2 accumulated over the horizon.
     bound = horizon * h * model.config.dt * (omega ** 2) * float(np.linalg.norm(z0))
     assert worst <= bound
