@@ -63,12 +63,23 @@ def _write_manifest(out_dir: Path, command: str, payload: dict) -> None:
     (out_dir / "manifest.json").write_text(_json(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _out_error(path_str: str) -> UsageError:
+    return UsageError(f"output directory {path_str!r} is, or lies under, a file")
+
+
+def _check_out(path_str: str) -> None:
+    """Reject, before any work, an output directory that is or lies under a file."""
+    path = Path(path_str)
+    if not next(p for p in (path, *path.parents) if p.exists()).is_dir():
+        raise _out_error(path_str)
+
+
 def _ensure_out(path_str: str) -> Path:
     out = Path(path_str)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
-        raise UsageError(f"output directory {path_str!r} is, or lies under, a file") from None
+        raise _out_error(path_str) from None
     return out
 
 
@@ -90,8 +101,12 @@ def _is_mode(entry) -> bool:
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    if args.frames < 1:
-        raise UsageError(f"--frames must be >= 1, got {args.frames}")
+    _check_out(args.out)
+    min_frames = 2 if args.kind == "modal" else 1
+    if args.frames < min_frames:
+        raise UsageError(f"--frames must be >= {min_frames}, got {args.frames}")
+    if not 0 < args.dt < math.inf:
+        raise UsageError(f"--dt must be finite and > 0, got {args.dt}")
     if min(args.grid) < 1:
         raise UsageError(f"--grid must be two integers >= 1, got {args.grid}")
     if not 0 <= args.noise < math.inf:
@@ -99,7 +114,6 @@ def cmd_generate(args) -> int:
     for flag, value in (("--theta0", args.theta0), ("--omega0", args.omega0)):
         if not math.isfinite(value):
             raise UsageError(f"{flag} must be finite, got {value}")
-    out = _ensure_out(args.out)
     if args.kind == "modal":
         modes = json.loads(args.modes)
         if not (isinstance(modes, list) and modes and all(map(_is_mode, modes))):
@@ -115,8 +129,6 @@ def cmd_generate(args) -> int:
         fld, meta = data.gen_modal_field(grid=tuple(args.grid), modes=[tuple(m) for m in modes],
                                          n_frames=args.frames, dt=args.dt,
                                          noise=args.noise, seed=args.seed)
-        data.save_field(fld, out / "field.fld")
-        _dump(out / "truth.json", meta)
     elif args.kind == "pendulum":
         coeffs = data.PendulumCoeffs()
         fld, traj, meta = data.gen_pendulum(theta0=args.theta0, omega0=args.omega0,
@@ -124,14 +136,13 @@ def cmd_generate(args) -> int:
                                             grid=tuple(args.grid), coeffs=coeffs,
                                             seed=args.seed)
         meta["angle_trajectory"] = traj.tolist()
-        data.save_field(fld, out / "field.fld")
-        _dump(out / "truth.json", meta)
     else:  # sine
         traj = data.gen_sine_ode(args.theta0, args.omega0, args.frames - 1, args.dt)
         fld = data.Field(data=traj.astype(np.float32).astype(np.float64), dt_physical=args.dt)
-        data.save_field(fld, out / "field.fld")
-        _dump(out / "truth.json", {"kind": "sine", "x0": args.theta0, "v0": args.omega0,
-                                    "dt": args.dt})
+        meta = {"kind": "sine", "x0": args.theta0, "v0": args.omega0, "dt": args.dt}
+    out = _ensure_out(args.out)
+    data.save_field(fld, out / "field.fld")
+    _dump(out / "truth.json", meta)
     _write_manifest(out, "generate", {"args": {k: v for k, v in vars(args).items()
                                                if k != "func"}})
     print(f"wrote {out / 'field.fld'} and {out / 'truth.json'}")
@@ -210,10 +221,11 @@ def cmd_train(args) -> int:
     if args.mode:
         train_cfg.mode = args.mode
         train_cfg.validate()
+    _check_out(cfg["out_dir"])
     fld, sensors, dataset = _prepare_dataset(cfg, train_cfg)
-    out = _ensure_out(cfg["out_dir"])
 
     model, log = shred.train(dataset, train_cfg, resume_from=args.resume)
+    out = _ensure_out(cfg["out_dir"])
     model.extra = {"sensors": list(sensors.indices), "scale": list(fld.scale or ()),
                    "grid": list(fld.grid_shape or ()), "field": str(cfg["field"])}
     (out / "log.jsonl").write_text("".join(_json(record) + "\n" for record in log))
@@ -283,6 +295,7 @@ def _checkpoint_field(model: shred.ShredModel, path) -> tuple[data.Field, list[i
 
 
 def cmd_forecast(args) -> int:
+    _check_out(args.out)
     for flag, value in (("--horizon", args.horizon), ("--start", args.start)):
         if value < 0:
             raise UsageError(f"{flag} must be >= 0, got {value}")
@@ -350,6 +363,7 @@ def cmd_forecast(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_landscape(args) -> int:
+    _check_out(args.out)
     if args.segments < 1:
         raise UsageError(f"--segments must be >= 1, got {args.segments}")
     if not 0 <= args.alpha < math.inf:
@@ -401,8 +415,11 @@ def _sine_payload(report: evaluation.SineComparisonReport) -> dict:
 
 
 def cmd_validate_theory(args) -> int:
+    _check_out(args.out)
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    if args.suite == "thm1" and args.trials < 20:
+        raise UsageError(f"--trials must be >= 20 (Monte-Carlo trials per cell), got {args.trials}")
     if args.suite != "thm1" and args.gru_epochs < 1:
         raise UsageError(f"--gru-epochs must be >= 1, got {args.gru_epochs}")
     manifest = {"suite": args.suite, "seed": args.seed}

@@ -270,6 +270,46 @@ def _copy_rows(dst: np.ndarray, src: np.ndarray) -> None:
     np.copyto(dst.view(row)[..., 0], src.view(row)[..., 0])
 
 
+def _gru_forward(x: np.ndarray, W: np.ndarray, b: np.ndarray, U_ur: np.ndarray,
+                 U_h: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The GRU recurrence over a (*, B, L, S) input, for ``gru_sequence`` and stacked weights.
+
+    ``W`` is the (*, S, 3H) stack ``[W_u|W_r|W_h]``, ``b`` the matching biases
+    (each (3H,), or (*, 1, 3H) beside stacked weights), ``U_ur`` the (2, *, H, H)
+    stack ``[U_u, U_r]`` and ``U_h`` (*, H, H). A leading stack axis * of the
+    weights, or of ``x``, runs that many parameter sets at once: every
+    matmul keeps one set's operand shapes, so numpy issues each set the same
+    gemm it would issue alone. Returns the (L·B, S) inputs ``xt``, the gates
+    (L, 3, *, B, H) as [u, r, cand], the hiddens ``hs`` (L + 1, *, B, H) from
+    the zero ``hs[0]``, and ``carry`` = 1 - u (L, *, B, H).
+    """
+    *lead, B, L, S = x.shape
+    H = U_h.shape[-1]
+    xt = np.ascontiguousarray(np.swapaxes(x, -3, -2)).reshape(*lead, L * B, S)
+    xw = xt @ W
+    xw += b
+    stack = xw.shape[:-2]
+    # Input projections x W + b, which each step turns into its gates in place.
+    gates = np.empty((L, 3, *stack, B, H))
+    _copy_rows(gates, np.moveaxis(xw.reshape(*stack, L, B, 3, H), (-4, -2), (0, 1)))
+    del xw  # released before the buffers below: a lower peak touches fewer fresh pages
+    hs = np.empty((L + 1, *stack, B, H))  # hs[0] is the zero initial hidden, hs[t + 1] = h_t
+    hs[0] = 0.0
+    carry = np.empty((L, *stack, B, H))  # 1 - u
+    hu, rh, uc = np.empty((2, *stack, B, H)), np.empty((*stack, B, H)), np.empty((*stack, B, H))
+    for t in range(L):
+        h, ur, cand = hs[t], gates[t, :2], gates[t, 2]
+        ur += np.matmul(h, U_ur, out=hu)
+        np.exp(np.negative(ur, out=ur), out=ur)
+        ur += 1.0
+        u, r = np.divide(1.0, ur, out=ur)
+        cand += np.matmul(np.multiply(r, h, out=rh), U_h, out=uc)
+        np.tanh(cand, out=cand)
+        h_new = np.multiply(np.subtract(1.0, u, out=carry[t]), h, out=hs[t + 1])
+        h_new += np.multiply(u, cand, out=uc)
+    return xt, gates, hs, carry
+
+
 def gru_sequence(x, W_u: Tensor, U_u: Tensor, b_u: Tensor, W_r: Tensor, U_r: Tensor,
                  b_r: Tensor, W_h: Tensor, U_h: Tensor, b_h: Tensor) -> Tensor:
     """One GRU layer over a whole sequence: inputs (B, L, S) to hiddens (B, L, H).
@@ -285,38 +325,26 @@ def gru_sequence(x, W_u: Tensor, U_u: Tensor, b_u: Tensor, W_r: Tensor, U_r: Ten
     one contiguous block: projections, gates and pre-activation gradients are
     (L, 3, B, H) with the gates in the order [u, r, cand], and the hidden
     sequence is (L, B, H). The node's data is the (B, L, H) view of it.
+
+    Without gradients, the weights may carry a leading stack axis K of
+    parameter sets ((K, S, H), (K, H, H) and (K, 1, H) biases), and ``x`` may
+    too: the output is then (K, B, L, H), see ``_gru_forward``.
     """
     x = _as_tensor(x)
     params = (W_u, U_u, b_u, W_r, U_r, b_r, W_h, U_h, b_h)
     S, H = x.shape[-1], U_u.shape[-1]
-    if x.data.ndim != 3 or any(p.shape != s for p, s in zip(params, [(S, H), (H, H), (H,)] * 3)):
+    if x.data.ndim < 3 or any(p.shape[-len(s):] != s for p, s in
+                              zip(params, [(S, H), (H, H), (H,)] * 3)):
         raise ShapeMismatchError(
             f"gru_sequence: input {x.shape} and gates {[p.shape for p in params]} do not conform")
-    B, L, _ = x.shape
-    W = np.concatenate([W_u.data, W_r.data, W_h.data], axis=1)
-    b = np.concatenate([b_u.data, b_r.data, b_h.data])
+    if ((U_u.data.ndim > 2 or x.data.ndim > 3) and _GRAD_ENABLED
+            and any(t.requires_grad for t in (x, *params))):
+        raise ShapeMismatchError("gru_sequence: stacked parameter sets have no backward")
+    W = np.concatenate([W_u.data, W_r.data, W_h.data], axis=-1)
+    b = np.concatenate([b_u.data, b_r.data, b_h.data], axis=-1)
     U_ur = np.stack([U_u.data, U_r.data])
-    xt = np.ascontiguousarray(x.data.transpose(1, 0, 2)).reshape(L * B, S)
-    xw = xt @ W
-    xw += b
-    # Input projections x W + b, which each step turns into its gates in place.
-    gates = np.empty((L, 3, B, H))
-    _copy_rows(gates, xw.reshape(L, B, 3, H).transpose(0, 2, 1, 3))
-    del xw  # released before the buffers below: a lower peak touches fewer fresh pages
-    hs = np.empty((L + 1, B, H))  # hs[0] is the zero initial hidden, hs[t + 1] = h_t
-    hs[0] = 0.0
-    carry = np.empty((L, B, H))  # 1 - u
-    hu, rh, uc = np.empty((2, B, H)), np.empty((B, H)), np.empty((B, H))
-    for t in range(L):
-        h, ur, cand = hs[t], gates[t, :2], gates[t, 2]
-        ur += np.matmul(h, U_ur, out=hu)
-        np.exp(np.negative(ur, out=ur), out=ur)
-        ur += 1.0
-        u, r = np.divide(1.0, ur, out=ur)
-        cand += np.matmul(np.multiply(r, h, out=rh), U_h.data, out=uc)
-        np.tanh(cand, out=cand)
-        h_new = np.multiply(np.subtract(1.0, u, out=carry[t]), h, out=hs[t + 1])
-        h_new += np.multiply(u, cand, out=uc)
+    xt, gates, hs, carry = _gru_forward(x.data, W, b, U_ur, U_h.data)
+    L, B = gates.shape[0], gates.shape[-2]
 
     def backward(g):
         gt = np.ascontiguousarray(g.transpose(1, 0, 2))
@@ -358,7 +386,7 @@ def gru_sequence(x, W_u: Tensor, U_u: Tensor, b_u: Tensor, W_r: Tensor, U_r: Ten
         return (dx, dW[:, :H], dU_ur[:, :H], db[:H], dW[:, H:2 * H], dU_ur[:, H:],
                 db[H:2 * H], dW[:, 2 * H:], dU_h, db[2 * H:])
 
-    return _node("gru_sequence", hs[1:].transpose(1, 0, 2), (x, *params), backward)
+    return _node("gru_sequence", np.moveaxis(hs[1:], 0, -2), (x, *params), backward)
 
 
 # ---------------------------------------------------------------------------

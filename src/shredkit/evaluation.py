@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -15,7 +16,9 @@ from . import diffcore as dc
 from . import nets, sindy
 from .data import WindowedDataset, _rk4, gen_sine_ode
 from .diffcore import Tensor
-from .shred import ShredModel, combined_loss, make_batch
+from .shred import ShredModel, combined_loss, loss_terms, make_batch
+
+STACK_POINTS = 8  # landscape points per stacked forward pass: bounds its buffers
 
 
 class EvaluationError(ValueError):
@@ -165,7 +168,16 @@ def _directions(params: dict[str, Tensor], seed: int) -> dict[str, np.ndarray]:
 
 
 def batch_loss_fn(model: ShredModel, dataset: WindowedDataset):
-    """Deterministic eval-mode loss over the leading 128 training pairs."""
+    """Deterministic eval-mode loss over the leading 128 training pairs, in two forms.
+
+    ``loss_fn()`` is the model's loss as its parameters stand, through
+    ``combined_loss``. ``loss_fn(stack)`` scores K parameter sets at once:
+    ``stack`` maps every ``named_parameters()`` name to a (K, *shape) array,
+    and the result is K float64 losses, each bit-identical to writing that
+    row into the model and calling ``loss_fn()``. The stacked form leaves the
+    model alone: a private copy of it runs the encoder and the decoder once
+    for all K sets, then each set's loss terms from that set's rows.
+    """
     horizon = model.config.horizon
     max_start = int(dataset.train_idx.max()) - horizon
     pool = dataset.train_idx[dataset.train_idx <= max_start]
@@ -175,11 +187,32 @@ def batch_loss_fn(model: ShredModel, dataset: WindowedDataset):
             f"the field has {dataset.n_windows} window(s) at lag {dataset.lag}")
     starts = pool[:128]
     batch = make_batch(dataset, starts, horizon)
+    rows = batch.rows.reshape(-1)
+    # The model with tensors of its own for the stacked form to fill; the
+    # configuration, library and masks stay the model's.
+    twin = replace(model, gru=copy.deepcopy(model.gru), decoder=copy.deepcopy(model.decoder),
+                   xi=copy.deepcopy(model.xi), K=copy.deepcopy(model.K), optimizer=None)
+    params = twin.named_parameters()
+    dynamics = twin.dynamics_param_names()
 
-    def loss_fn() -> float:
+    def loss_fn(stack: dict[str, np.ndarray] | None = None):
         with dc.no_grad():
-            total, _ = combined_loss(batch, model, train_mode=False)
-        return float(total.data)
+            if stack is None:
+                total, _ = combined_loss(batch, model, train_mode=False)
+                return float(total.data)
+            for name, p in params.items():
+                # A stacked bias (K, n) becomes (K, 1, n), to broadcast over rows.
+                p.data = stack[name] if stack[name].ndim > 2 else stack[name][:, None]
+            encoded = nets.encode_window(batch.distinct, twin.gru).data
+            decoded = nets.decode(Tensor(encoded), twin.decoder).data
+            losses = np.empty(len(encoded))
+            for k in range(len(losses)):
+                for name in dynamics:
+                    params[name].data = stack[name][k]
+                total, _ = loss_terms(batch, twin, Tensor(encoded[k][rows]),
+                                      Tensor(decoded[k][rows]))
+                losses[k] = total.data
+            return losses
 
     return loss_fn
 
@@ -189,31 +222,31 @@ def _perturbed_losses(model: ShredModel, loss_fn, alpha: float, seeds: tuple[int
     """Loss at each (t_x, t_y) row of ``points`` in the alpha-scaled direction plane.
 
     Non-finite losses are recorded as +inf, silently. The points are split into
-    contiguous chunks that ``_pmap`` spreads over its workers; each point gets
-    the same arithmetic wherever it runs. The model's parameters are restored
-    exactly afterwards (pool workers perturb only their own copies).
+    contiguous chunks that ``_pmap`` spreads over its workers, and each chunk
+    is scored STACK_POINTS points per ``loss_fn(stack)`` call; each point gets the
+    same arithmetic wherever it runs. The model's parameters are never written.
     """
     if not 0 <= alpha < math.inf:
         raise EvaluationError(f"alpha must be finite and >= 0, got {alpha}")
     params = model.named_parameters()
-    base = {name: p.data.copy() for name, p in params.items()}
-    rx = _directions(params, seeds[0])
-    ry = _directions(params, seeds[1])
+    base = {name: p.data for name, p in params.items()}
+    with np.errstate(over="ignore", invalid="ignore"):
+        rx = _directions(params, seeds[0])
+        ry = _directions(params, seeds[1])
 
     def losses(chunk: np.ndarray) -> np.ndarray:
         values = np.empty(len(chunk))
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                for i, (tx, ty) in enumerate(chunk):
-                    for name, p in params.items():
-                        # Perturbation summed first: IEEE commutativity then makes
-                        # the grid exactly transpose under direction swap.
-                        p.data = base[name] + ((tx * alpha) * rx[name] + (ty * alpha) * ry[name])
-                    v = loss_fn()
-                    values[i] = v if np.isfinite(v) else np.inf
-        finally:
-            for name, p in params.items():
-                p.data = base[name]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in range(0, len(chunk), STACK_POINTS):
+                moves = chunk[s:s + STACK_POINTS] * alpha   # (k, 2): t_x * alpha, t_y * alpha
+                stack = {}
+                for name, b in base.items():
+                    cx, cy = moves.T.reshape(2, -1, *(1,) * b.ndim)
+                    # Perturbation summed first: IEEE commutativity then makes
+                    # the grid exactly transpose under direction swap.
+                    stack[name] = b + (cx * rx[name] + cy * ry[name])
+                v = loss_fn(stack)
+                values[s:s + STACK_POINTS] = np.where(np.isfinite(v), v, np.inf)
         return values
 
     # Two chunks per worker, so that _pmap takes its pool whenever there is
@@ -237,7 +270,8 @@ def landscape_scan(model: ShredModel, loss_fn, alpha: float, grid_n: int,
     values = np.empty((grid_n, grid_n))
     values[moved] = _perturbed_losses(model, loss_fn, alpha, seeds,
                                       np.stack([tx[moved], ty[moved]], axis=1))
-    base_loss = float(loss_fn())
+    with np.errstate(over="ignore", invalid="ignore"):
+        base_loss = float(loss_fn())
     values[~moved] = base_loss
     return LandscapeGrid(alpha=alpha, seeds=tuple(seeds), ts=ts, values=values,
                          base_loss=base_loss)
@@ -261,7 +295,8 @@ def landscape_segments(model: ShredModel, loss_fn, alpha: float, seeds: tuple[in
     out = np.empty((n_segments, n_points))
     out[:, 1:] = _perturbed_losses(model, loss_fn, alpha, seeds,
                                    points.reshape(-1, 2)).reshape(n_segments, n_points - 1)
-    base = loss_fn()
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = loss_fn()
     out[:, 0] = base if np.isfinite(base) else np.inf
     return out
 

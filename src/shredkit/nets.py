@@ -77,30 +77,35 @@ def encode_window(window: np.ndarray, params: GruParams) -> Tensor:
 
     Each layer is one fused ``diffcore.gru_sequence`` node whose hidden
     sequence feeds the next layer; the returned latent is the final time-step
-    hidden state of the top layer. Initial hiddens are zero.
+    hidden state of the top layer. Initial hiddens are zero. Parameters that
+    stack K sets along a leading axis (see ``gru_sequence``) give (K, batch, d).
     """
     window = np.asarray(window, dtype=np.float64)
     if window.ndim == 2:
         window = window[None, :, :]
     batch, lag, nsens = window.shape
-    n_in = params.layers[0].W_u.shape[0]
+    n_in = params.layers[0].W_u.shape[-2]
     if nsens != n_in:
         raise WidthMismatchError(f"encode_window: sensor count {nsens} != {n_in}")
     if lag < 1:
         raise WidthMismatchError("encode_window: empty lag window")
     h = Tensor(window)
     for layer in params.layers:
-        in_w = layer.W_u.shape[0]
+        in_w = layer.W_u.shape[-2]
         if h.shape[-1] != in_w:
             raise WidthMismatchError(f"encode_window: input width {h.shape[-1]} != {in_w}")
         h = dc.gru_sequence(h, *layer.tensors().values())
-    return dc.reshape(dc.slice_axis(h, 1, lag - 1, lag), (batch, h.shape[-1]))
+    return dc.reshape(dc.slice_axis(h, -2, lag - 1, lag), h.shape[:-3] + (batch, h.shape[-1]))
 
 
 def decode(z: Tensor, params: DecoderParams, train_mode: bool = False,
            rng: np.random.Generator | None = None) -> Tensor:
-    """Shallow decoder: (affine, ReLU, dropout)* then a final affine to the field."""
-    expected = params.hidden[0][0].shape[0] if params.hidden else params.out_W.shape[0]
+    """Shallow decoder: (affine, ReLU, dropout)* then a final affine to the field.
+
+    Parameters may stack K sets along a leading axis, each bias as (K, 1, n),
+    to decode (K, rows, d) latents with each set.
+    """
+    expected = (params.hidden[0][0] if params.hidden else params.out_W).shape[-2]
     if z.shape[-1] != expected:
         raise WidthMismatchError(f"decode: latent width {z.shape[-1]} != {expected}")
     h = z

@@ -376,16 +376,28 @@ def combined_loss(batch: Batch, model: ShredModel, train_mode: bool = False,
 
     The GRU encodes each of the batch's distinct windows once; one row gather
     then lays the latents out group by group (G·nb rows), and its backward
-    sums the gradients of a window that several groups share. Sparsity is
-    enforced by the scheduled thresholding events, not by a differentiable
+    sums the gradients of a window that several groups share. In evaluation
+    mode no dropout tells a window's copies apart, so each distinct window is
+    decoded once too and its reconstruction gathered the same way. Sparsity
+    is enforced by the scheduled thresholding events, not by a differentiable
     term.
     """
-    groups, nb = batch.rows.shape
-    if groups < 2:
+    if batch.rows.shape[0] < 2:
         raise ConfigError("batch must contain adjacent window groups")
-    latents = dc.gather_rows(nets.encode_window(batch.distinct, model.gru),
-                             batch.rows.reshape(-1))
-    recon = nets.decode(latents, model.decoder, train_mode=train_mode, rng=rng)
+    encoded = nets.encode_window(batch.distinct, model.gru)
+    rows = batch.rows.reshape(-1)
+    latents = dc.gather_rows(encoded, rows)
+    if train_mode:
+        recon = nets.decode(latents, model.decoder, train_mode=True, rng=rng)
+    else:
+        recon = dc.gather_rows(nets.decode(encoded, model.decoder), rows)
+    return loss_terms(batch, model, latents, recon, dynamics_enabled)
+
+
+def loss_terms(batch: Batch, model: ShredModel, latents: Tensor, recon: Tensor,
+               dynamics_enabled: bool = True) -> tuple[Tensor, dict]:
+    """``combined_loss`` from the batch's (G·nb, d) latents and (G·nb, N) reconstructions."""
+    groups, nb = batch.rows.shape
     recon_loss = dc.mse(recon, Tensor(batch.targets.reshape(groups * nb, -1)))
 
     parts = {"recon": float(recon_loss.data)}

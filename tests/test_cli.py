@@ -96,14 +96,14 @@ def test_generate_invalid_kind_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, words", [
     (["modal", "--grid", "0", "0"], "--grid must be two integers >= 1"),
-    (["modal", "--dt", "nan"], "dt_physical must be finite"),
+    (["modal", "--dt", "nan"], "--dt must be finite and > 0, got nan"),
     (["modal", "--noise", "-1"], "--noise must be finite and >= 0"),
     (["modal", "--noise", "nan"], "--noise must be finite and >= 0"),
     (["modal", "--modes", "[]"], "--modes must be a non-empty JSON list"),
     (["modal", "--modes", "{}"], "--modes must be a non-empty JSON list"),
     (["pendulum", "--frames", "0"], "--frames must be >= 1"),
     (["sine", "--frames", "-3"], "--frames must be >= 1"),
-    (["pendulum", "--dt", "nan"], "pendulum dt must be in (0, 1/30]"),
+    (["pendulum", "--dt", "nan"], "--dt must be finite and > 0, got nan"),
     (["sine", "--theta0", "inf"], "--theta0 must be finite, got inf"),
     (["sine", "--omega0=-inf"], "--omega0 must be finite, got -inf"),
     (["pendulum", "--omega0", "nan"], "--omega0 must be finite, got nan"),
@@ -122,6 +122,10 @@ def test_generate_invalid_kind_usage_error(tmp_path, capsys):
     (["modal", "--modes", f"[[{10 ** 400}, 1.0, 6.0, 0.0]]"], "beyond the 16x16 grid"),
     (["modal", "--grid", "-1", "5"], "--grid must be two integers >= 1, got [-1, 5]"),
     (["pendulum", "--grid", "5", "0"], "--grid must be two integers >= 1, got [5, 0]"),
+    (["modal", "--dt", "-1"], "--dt must be finite and > 0, got -1.0"),
+    (["sine", "--dt", "0"], "--dt must be finite and > 0, got 0.0"),
+    (["pendulum", "--dt", "0.05"], "pendulum dt must be in (0, 1/30]"),
+    (["modal", "--frames", "1"], "--frames must be >= 2, got 1"),
 ])
 def test_generate_malformed_input_exit_2(tmp_path, capsys, argv, words):
     out = tmp_path / "gen"
@@ -373,6 +377,17 @@ def test_train_numerical_abort_exit_3(modal_dir, tmp_path):
     assert code == 3
 
 
+def test_train_numerical_abort_creates_no_out_dir(modal_dir, tmp_path, capsys):
+    cfg_path = _run_config(modal_dir, tmp_path / "cfg", learning_rate=1e100, epochs=2,
+                           dropout=0.0)
+    cfg = json.loads(cfg_path.read_text())
+    cfg["out_dir"] = str(tmp_path / "new")
+    cfg_path.write_text(json.dumps(cfg))
+    with np.errstate(all="ignore"):
+        assert main(["train", str(cfg_path)]) == 3
+    assert not (tmp_path / "new").exists()
+
+
 def test_train_non_finite_gradient_exit_3(modal_dir, tmp_path, capsys, nan_relu_gradient):
     out = tmp_path / "nan-grad"
     assert main(["train", str(_run_config(modal_dir, out))]) == 3
@@ -557,13 +572,16 @@ def test_forecast_beyond_float32_exit_3_writes_nothing(modal_dir, overflow_ckpt,
 
 def test_landscape_overflowing_loss_is_strict_json(modal_dir, overflow_ckpt, tmp_path, capsys):
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)   # norms and losses overflow
+        # The direction norms and every loss overflow, silently: each is an +inf cell.
+        warnings.simplefilter("error", RuntimeWarning)
         assert main(["landscape", "--checkpoint", str(overflow_ckpt),
                      "--field", str(modal_dir / "field.fld"), "--grid", "3", "--segments", "3",
                      "--out", str(tmp_path)]) == 0
     verdict = _strict_json((tmp_path / "convexity.json").read_text())
     assert verdict["base_loss"] is None and verdict["convex"] is False
     assert _strict_json(capsys.readouterr().out) == verdict
+    cells = (tmp_path / "landscape.csv").read_text().splitlines()[1:]
+    assert len(cells) == 9 and all(line.endswith(",inf") for line in cells)
 
 
 def test_forecast_zero_horizon_scores_the_initial_frame(modal_dir, trained_dir, tmp_path):
@@ -977,6 +995,39 @@ def test_out_naming_a_file_exit_2(tmp_path, monkeypatch, capsys, argv, out):
     assert capsys.readouterr().err.splitlines() == [
         f"error: output directory {out!r} is, or lies under, a file"]
     assert Path("a-file").read_text() == "kept"
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the command ran its work before checking --out")
+
+
+@pytest.mark.parametrize("out", ["a-file", "a-file/run"])
+@pytest.mark.parametrize("argv", [
+    ["validate-theory", "--suite", "sine"],
+    ["validate-theory", "--suite", "thm2-qual"],
+    ["validate-theory", "--suite", "thm1"],
+    ["landscape", "--checkpoint", "model.shrd", "--field", "field.fld"],
+    ["forecast", "--checkpoint", "model.shrd", "--field", "field.fld", "--horizon", "5"],
+])
+def test_out_under_a_file_exit_2_before_any_work(tmp_path, monkeypatch, capsys, argv, out):
+    monkeypatch.chdir(tmp_path)
+    Path("a-file").write_text("kept")
+    for name in ("sine_comparison", "sine_horizons", "theory_scaling_experiment"):
+        monkeypatch.setattr(evaluation, name, _must_not_run)
+    monkeypatch.setattr(shred, "load_checkpoint", _must_not_run)
+    assert main([*argv, "--out", out]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: output directory {out!r} is, or lies under, a file"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-file"]
+
+
+def test_validate_theory_too_few_trials_exit_2_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(evaluation, "theory_scaling_experiment", _must_not_run)
+    assert main(["validate-theory", "--suite", "thm1", "--trials", "5",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --trials must be >= 20 (Monte-Carlo trials per cell), got 5"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_theory_thm1_manifest_records_workers_and_wall_time(tmp_path, monkeypatch):

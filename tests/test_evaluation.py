@@ -266,10 +266,13 @@ def test_landscape_nonfinite_becomes_inf(monkeypatch):
     target = params[name].data + (-1.0 * alpha) * rx[name]
     base_fn = evaluation.batch_loss_fn(model, ds)
 
-    def flaky():
-        if np.allclose(params[name].data, target, rtol=1e-12, atol=0.0):
-            return float("nan")
-        return base_fn()
+    def flaky(stack=None):
+        if stack is None:
+            if np.allclose(params[name].data, target, rtol=1e-12, atol=0.0):
+                return float("nan")
+            return base_fn()
+        hit = [np.allclose(row, target, rtol=1e-12, atol=0.0) for row in stack[name]]
+        return np.where(hit, np.nan, base_fn(stack))
 
     expected = np.zeros((3, 3), bool)
     expected[0, 1] = True
@@ -314,16 +317,16 @@ def test_landscape_segments_evaluate_the_center_once(monkeypatch):
     monkeypatch.setenv("SHRED_THREADS", "1")   # every loss_fn call runs in this process
     model, ds, _, _ = _trained_tiny_model()
     base_fn = evaluation.batch_loss_fn(model, ds)
-    calls = []
+    calls = []   # the number of points each loss_fn call scores
 
-    def counted():
-        calls.append(None)
-        return base_fn()
+    def counted(stack=None):
+        calls.append(1 if stack is None else len(stack["dec_out.b"]))
+        return base_fn() if stack is None else base_fn(stack)
 
     n_segments, n_points, alpha, seeds = 6, 5, 0.5, (4, 9)
     segs = evaluation.landscape_segments(model, counted, alpha, seeds, n_segments=n_segments,
                                          n_points=n_points, seed=2)
-    assert len(calls) == n_segments * (n_points - 1) + 1
+    assert sum(calls) == n_segments * (n_points - 1) + 1
     # Every sample, the fraction-0 ones included, through the perturbed-loss path.
     ends = np.random.default_rng(2).uniform(-1.0, 1.0, size=(n_segments, 2))
     points = np.linspace(0.0, 1.0, n_points)[None, :, None] * ends[:, None, :]
@@ -352,14 +355,89 @@ def test_landscape_loss_exception_reaches_caller(monkeypatch, workers):
     base = params[name].data.copy()
     base_fn = evaluation.batch_loss_fn(model, ds)
 
-    def broken():
-        if not np.array_equal(params[name].data, base):
+    def broken(stack=None):
+        if stack is None:
+            if not np.array_equal(params[name].data, base):
+                raise ZeroDivisionError("loss blew up")
+            return base_fn()
+        if any(not np.array_equal(row, base) for row in stack[name]):
             raise ZeroDivisionError("loss blew up")
-        return base_fn()
+        return base_fn(stack)
 
     with pytest.raises(ZeroDivisionError, match="loss blew up"):
         landscape_scan(model, broken, alpha=0.5, grid_n=5)
     assert np.array_equal(params[name].data, base)
+
+
+def _untrained_model(**over):
+    fld, _ = data.gen_modal_field((6, 6), [(0, 1.0, 2 * np.pi, 0.3)], n_frames=120,
+                                  dt=0.02, noise=0.01, seed=1)
+    ds = data.make_windows(data.standardize(fld), data.select_sensors(fld, 8, seed=2), lag=8)
+    cfg = dict(lag=8, latent_dim=2, dt=0.02, ministeps=3, ensemble_size=3, poly_degree=2,
+               decoder_widths=(12,), dropout=0.1, seed=3)
+    cfg.update(over)
+    return shred.init_model(shred.ShredConfig(**cfg), 8, 36), ds
+
+
+def _stack_around(model, rows: int, seed: int = 0) -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    return {name: p.data + 0.3 * rng.standard_normal((rows,) + p.shape)
+            for name, p in model.named_parameters().items()}
+
+
+def _row_by_row(model, loss_fn, stack) -> np.ndarray:
+    """``loss_fn()`` with each row of ``stack`` written into the model in turn."""
+    params = model.named_parameters()
+    saved = {name: p.data for name, p in params.items()}
+    out = []
+    try:
+        for k in range(len(stack["dec_out.b"])):
+            for name, p in params.items():
+                p.data = stack[name][k]
+            out.append(loss_fn())
+    finally:
+        for name, p in params.items():
+            p.data = saved[name]
+    return np.array(out)
+
+
+@pytest.mark.parametrize("over", [
+    {}, {"ministeps": 1}, {"gru_layers": 1}, {"gru_layers": 3},
+    {"decoder_widths": ()}, {"decoder_widths": (8, 8)}, {"sindy_loss_weight": 0.0},
+    {"mode": "koopman"}, {"mode": "koopman", "koopman_m_max": 3},
+    {"mode": "koopman", "sindy_loss_weight": 0.0},
+], ids=repr)
+def test_stacked_loss_is_each_point_loss_bit_for_bit(over):
+    model, ds = _untrained_model(**over)
+    loss_fn = evaluation.batch_loss_fn(model, ds)
+    stack = _stack_around(model, 5)
+    before = {name: p.data.copy() for name, p in model.named_parameters().items()}
+    got = loss_fn(stack)
+    assert got.shape == (5,) and got.dtype == np.float64 and np.all(np.isfinite(got))
+    for name, p in model.named_parameters().items():
+        assert np.array_equal(p.data, before[name])
+    assert np.array_equal(got, _row_by_row(model, loss_fn, stack))
+    assert len(set(got.tolist())) == 5
+
+
+def test_stacked_loss_with_an_all_null_member():
+    model, ds = _untrained_model()
+    model.masks[1] = False
+    loss_fn = evaluation.batch_loss_fn(model, ds)
+    stack = _stack_around(model, 3, seed=1)
+    assert np.array_equal(loss_fn(stack), _row_by_row(model, loss_fn, stack))
+
+
+def test_stacked_loss_overflowing_row_is_inf_alone():
+    model, ds = _untrained_model()
+    loss_fn = evaluation.batch_loss_fn(model, ds)
+    stack = _stack_around(model, 4, seed=2)
+    stack["dec_out.b"][2] = 1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = loss_fn(stack)
+        want = _row_by_row(model, loss_fn, stack)
+    assert got[2] == np.inf and np.all(np.isfinite(np.delete(got, 2)))
+    assert np.array_equal(got, want)
 
 
 def test_pmap_runs_a_closure_in_order(monkeypatch):

@@ -313,3 +313,51 @@ def test_full_composition_gradient():
         return dc.mse(nets.decode(nets.encode_window(window, gru), dec), Tensor(target))
 
     assert dc.finite_diff_check(f, params, h=1e-6) < 1e-5
+
+
+def _sets(tensors: dict, k: int) -> dict[str, np.ndarray]:
+    """k parameter sets around the given tensors, as (k, *shape) arrays."""
+    rng = np.random.default_rng(k)
+    return {name: t.data + 0.2 * rng.standard_normal((k,) + t.shape)
+            for name, t in tensors.items()}
+
+
+def _as_stack(sets: dict) -> dict[str, Tensor]:
+    return {name: Tensor(a[:, None] if a.ndim == 2 else a) for name, a in sets.items()}
+
+
+def _row(sets: dict, k: int) -> dict[str, Tensor]:
+    return {name: Tensor(a[k]) for name, a in sets.items()}
+
+
+def test_stacked_encoder_and_decoder_match_each_parameter_set():
+    rng = np.random.default_rng(0)
+    gru = nets.init_gru(rng, input_size=5, hidden_sizes=[3, 3])
+    dec = nets.init_decoder(rng, latent_dim=3, widths=[6], output_dim=4)
+    windows = rng.standard_normal((7, 9, 5))
+    gru_sets = [_sets(layer.tensors(), 4) for layer in gru.layers]
+    dec_sets = _sets(dec.tensors(), 4)
+
+    def gru_of(layers):
+        return nets.GruParams([nets.GruLayerParams(**t) for t in layers])
+
+    def dec_of(t):
+        return nets.DecoderParams(hidden=[(t["dec0.W"], t["dec0.b"])],
+                                  out_W=t["dec_out.W"], out_b=t["dec_out.b"])
+
+    with dc.no_grad():
+        z = nets.encode_window(windows, gru_of([_as_stack(s) for s in gru_sets]))
+        recon = nets.decode(z, dec_of(_as_stack(dec_sets))).data
+        assert z.shape == (4, 7, 3) and recon.shape == (4, 7, 4)
+        for k in range(4):
+            zk = nets.encode_window(windows, gru_of([_row(s, k) for s in gru_sets]))
+            assert np.array_equal(z.data[k], zk.data)
+            assert np.array_equal(recon[k], nets.decode(zk, dec_of(_row(dec_sets, k))).data)
+
+def test_gru_sequence_stacked_with_gradients_is_refused():
+    rng = np.random.default_rng(1)
+    layer = nets.init_gru(rng, input_size=2, hidden_sizes=[3]).layers[0]
+    stacked = _as_stack(_sets(layer.tensors(), 2))
+    stacked["W_u"].requires_grad = True
+    with pytest.raises(dc.ShapeMismatchError, match="no backward"):
+        dc.gru_sequence(rng.standard_normal((4, 5, 2)), *stacked.values())
