@@ -1,9 +1,9 @@
 """Command-line entry point: generate / train / forecast / landscape / validate-theory.
 
-Exit codes: 0 success, 2 usage or config error, 3 numerical abort during
-training, 4 acceptance-threshold failure in a validation suite. Every command
-writes a run manifest (full config and seeds) next to its outputs so a run can
-be replayed exactly.
+Exit codes: 0 success, 2 usage or config error or a request too large for
+memory, 3 numerical abort during training, 4 acceptance-threshold failure in a
+validation suite. Every command writes a run manifest (full config and seeds)
+next to its outputs so a run can be replayed exactly.
 """
 
 from __future__ import annotations
@@ -201,7 +201,7 @@ def _prepare_dataset(cfg: dict, train_cfg: shred.ShredConfig):
         raise UsageError(f"train.dt {train_cfg.dt!r} does not match the field's frame "
                          f"interval dt_physical {fld.dt_physical!r}")
     if cfg.get("standardize", True) and fld.scale is None:
-        fld = data.standardize(fld)
+        data.scale_in_place(fld)
     sensors_cfg = cfg.get("sensors", {"count": min(32, fld.n_space), "seed": train_cfg.seed})
     if "file" in sensors_cfg:
         sensors = data.load_sensor_csv(sensors_cfg["file"])
@@ -279,12 +279,8 @@ def _checkpoint_field(model: shred.ShredModel, path) -> tuple[data.Field, list[i
                             and all(type(v) in (int, float) and math.isfinite(v) for v in scale)
                             and scale[0] < scale[1]):
         raise UsageError(f"checkpoint scale {scale!r} is not two finite numbers lo < hi")
-    if scale:
-        lo, hi = scale
-        fld = data.Field(data=(fld.data - lo) / (hi - lo), grid_shape=fld.grid_shape,
-                         scale=(lo, hi), dt_physical=fld.dt_physical)
-    elif fld.scale is None:
-        fld = data.standardize(fld)
+    if scale or fld.scale is None:  # with no stored scale, the field's own extrema
+        data.scale_in_place(fld, tuple(scale))
     sensors = extra.get("sensors")
     if not (sensors and isinstance(sensors, list) and all(type(i) is int for i in sensors)):
         raise UsageError(f"checkpoint carries no integer sensor indices: {sensors!r}")
@@ -327,7 +323,13 @@ def cmd_forecast(args) -> int:
     rows, total = evaluation.horizon_mse(predictions[:n_eval], truth, clipped)
     traces = None
     if args.held_out_sensors:
-        held = [int(x) for x in Path(args.held_out_sensors).read_text().split()]
+        held = []
+        for number, line in enumerate(Path(args.held_out_sensors).read_text().splitlines(), 1):
+            try:
+                held += [int(x) for x in line.split()]
+            except ValueError:
+                raise UsageError(f"--held-out-sensors {args.held_out_sensors}, line {number}: "
+                                 f"{line.strip()!r} holds a non-integer sensor index") from None
         for i in held:
             if not 0 <= i < fld.n_space:
                 raise UsageError(f"held-out sensor {i} outside field size {fld.n_space}")
@@ -532,8 +534,8 @@ def main(argv=None) -> int:
     except (UsageError, shred.ConfigError, shred.CheckpointError, shred.SelectionError,
             data.FieldFormatError, data.SensorSelectionError, data.DegenerateScaleError,
             evaluation.EvaluationError, FileNotFoundError, IsADirectoryError,
-            json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            json.JSONDecodeError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -8,8 +8,10 @@ values once, at the end of generation, so save/load round-trips are bit-exact.
 
 from __future__ import annotations
 
+import io
 import math
 import numbers
+import os
 import struct
 from dataclasses import asdict, dataclass, replace
 
@@ -17,6 +19,7 @@ import numpy as np
 
 MAGIC = b"FLD1"
 VERSION = 1
+IO_BLOCK = 1 << 18  # payload values per read or write: bounds the float32 staging to 1 MiB
 
 
 class FieldFormatError(ValueError):
@@ -67,62 +70,67 @@ def _quantize_f32(a: np.ndarray) -> np.ndarray:
 
 
 def save_field(fld: Field, path) -> None:
+    """Write ``fld`` as FLD1, converting the payload to float32 IO_BLOCK values at a time."""
     t, n = fld.data.shape
     grid = fld.grid_shape or ()
     has_scale = fld.scale is not None
     smin, smax = fld.scale if has_scale else (0.0, 0.0)
+    flat = np.ravel(fld.data)  # a view of a C-contiguous field
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<B", len(grid)))
-        for dim in grid:
-            f.write(struct.pack("<Q", dim))
-        f.write(struct.pack("<QQ", t, n))
-        f.write(struct.pack("<d", fld.dt_physical))
-        f.write(struct.pack("<B", 1 if has_scale else 0))
-        f.write(struct.pack("<dd", smin, smax))
-        f.write(fld.data.astype("<f4").tobytes())
+        f.write(struct.pack(f"<4sIB{len(grid)}QQQdBdd", MAGIC, VERSION, len(grid), *grid, t, n,
+                            fld.dt_physical, has_scale, smin, smax))
+        for s in range(0, flat.size, IO_BLOCK):
+            f.write(flat[s:s + IO_BLOCK].astype("<f4"))
 
 
 def load_field(path) -> Field:
+    """Read an FLD1 file into one (T, N) float64 array, IO_BLOCK payload values at a time."""
     with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != MAGIC:
-        raise FieldFormatError(f"bad magic {raw[:4]!r}; expected {MAGIC.decode()}")
-    off = 4
-    try:
-        (version,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        if version != VERSION:
-            raise FieldFormatError(f"unsupported field version {version}")
-        (ndims,) = struct.unpack_from("<B", raw, off)
-        off += 1
-        grid = None
-        if ndims:
-            grid = struct.unpack_from(f"<{ndims}Q", raw, off)
-            off += 8 * ndims
-        t, n = struct.unpack_from("<QQ", raw, off)
-        off += 16
-        if grid is not None and int(np.prod(grid)) != n:
-            raise FieldFormatError(f"grid {grid} product != spatial size {n}")
-        if t * n > 2**40:
-            raise FieldFormatError(f"dimension overflow: {t} x {n} payload")
-        (dt_physical,) = struct.unpack_from("<d", raw, off)
-        off += 8
-        (has_scale,) = struct.unpack_from("<B", raw, off)
-        off += 1
-        smin, smax = struct.unpack_from("<dd", raw, off)
-        off += 16
-    except struct.error:
-        raise FieldFormatError(
-            f"truncated header at byte {off} ({len(raw)} bytes in file)") from None
-    expected = t * n * 4
-    payload = raw[off:]
-    if len(payload) < expected:
-        raise FieldFormatError(f"truncated payload: {len(payload)} bytes < {expected}")
-    if len(payload) > expected:
-        raise FieldFormatError(f"{len(payload) - expected} trailing bytes after the payload")
-    data = np.frombuffer(payload, dtype="<f4").reshape(t, n).astype(np.float64)
+        f = f if f.seekable() else io.BytesIO(f.read())  # a pipe: take it whole to learn its size
+        size = f.seek(0, os.SEEK_END)
+        f.seek(0)
+        raw = f.read(4096)  # a header holds at most 255 grid dims: 2,090 bytes
+        if raw[:4] != MAGIC:
+            raise FieldFormatError(f"bad magic {raw[:4]!r}; expected {MAGIC.decode()}")
+        off = 4
+        try:
+            (version,) = struct.unpack_from("<I", raw, off)
+            off += 4
+            if version != VERSION:
+                raise FieldFormatError(f"unsupported field version {version}")
+            (ndims,) = struct.unpack_from("<B", raw, off)
+            off += 1
+            grid = None
+            if ndims:
+                grid = struct.unpack_from(f"<{ndims}Q", raw, off)
+                off += 8 * ndims
+            t, n = struct.unpack_from("<QQ", raw, off)
+            off += 16
+            if grid is not None and int(np.prod(grid)) != n:
+                raise FieldFormatError(f"grid {grid} product != spatial size {n}")
+            if t * n > 2**40:
+                raise FieldFormatError(f"dimension overflow: {t} x {n} payload")
+            (dt_physical,) = struct.unpack_from("<d", raw, off)
+            off += 8
+            (has_scale,) = struct.unpack_from("<B", raw, off)
+            off += 1
+            smin, smax = struct.unpack_from("<dd", raw, off)
+            off += 16
+        except struct.error:
+            raise FieldFormatError(
+                f"truncated header at byte {off} ({size} bytes in file)") from None
+        expected = t * n * 4
+        if size - off < expected:
+            raise FieldFormatError(f"truncated payload: {size - off} bytes < {expected}")
+        if size - off > expected:
+            raise FieldFormatError(f"{size - off - expected} trailing bytes after the payload")
+        data, block = np.empty((t, n)), np.empty(min(IO_BLOCK, t * n), dtype="<f4")
+        f.seek(off)
+        for s in range(0, t * n, IO_BLOCK):
+            part = block[:min(IO_BLOCK, t * n - s)]
+            if f.readinto(part) != part.nbytes:  # the file shrank after its size was read
+                raise FieldFormatError("truncated payload: the file shrank while it was read")
+            data.reshape(-1)[s:s + part.size] = part
     # A float32 payload cannot overflow a float64 sum, so the sum is finite iff every value is.
     if not np.isfinite(data.sum()):
         raise FieldFormatError(f"payload holds {np.count_nonzero(~np.isfinite(data))} "
@@ -131,13 +139,22 @@ def load_field(path) -> Field:
                  scale=(smin, smax) if has_scale else None)
 
 
-def standardize(fld: Field) -> Field:
-    """Min-max rescale to [0, 1] using the global extrema over all frames."""
-    lo = float(fld.data.min())
-    hi = float(fld.data.max())
+def scale_in_place(fld: Field, scale: tuple[float, float] | None = None) -> Field:
+    """Rescale ``fld.data`` in its own array to (x - lo) / (hi - lo), by ``scale`` = (lo, hi) or
+    the global extrema, and record the scale. ``x -= lo; x /= hi - lo`` are the expression's
+    two IEEE operations, so the bits match it and no second array is made."""
+    lo, hi = scale or (float(fld.data.min()), float(fld.data.max()))
     if hi <= lo:
         raise DegenerateScaleError("constant field: max == min")
-    return replace(fld, data=(fld.data - lo) / (hi - lo), scale=(lo, hi))
+    fld.data -= lo
+    fld.data /= hi - lo
+    fld.scale = (lo, hi)
+    return fld
+
+
+def standardize(fld: Field) -> Field:
+    """Min-max rescale to [0, 1] using the global extrema over all frames, into a new array."""
+    return scale_in_place(replace(fld, data=fld.data.copy()))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import asdict
 from pathlib import Path
@@ -133,6 +134,23 @@ def test_generate_malformed_input_exit_2(tmp_path, capsys, argv, words):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and words in err[0]
     assert not (out / "field.fld").exists()
+
+
+@pytest.mark.parametrize("exc, words", [
+    (MemoryError("Unable to allocate 191. GiB for an array with shape (100000000, 256) "
+                 "and data type float64"),
+     "Unable to allocate 191. GiB for an array with shape (100000000, 256) and data type "
+     "float64"),
+    (MemoryError(), "MemoryError"),
+])
+def test_generate_out_of_memory_exit_2(tmp_path, monkeypatch, capsys, exc, words):
+    def too_large(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(data, "gen_modal_field", too_large)
+    code = main(["generate", "modal", "--frames", "100000000", "--out", str(tmp_path / "g")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {words}"]
+    assert not (tmp_path / "g").exists()
 
 
 def test_generate_modal_accepts_the_last_pattern_of_the_grid(tmp_path):
@@ -524,6 +542,19 @@ def test_forecast_held_out_outside_field_exit_2(modal_dir, trained_dir, tmp_path
     assert code == 2
     assert f"held-out sensor {index} " in capsys.readouterr().err
     assert not (tmp_path / "traces.csv").exists()
+
+
+def test_forecast_held_out_non_integer_names_flag_file_and_line(modal_dir, trained_dir,
+                                                                tmp_path, capsys):
+    held = tmp_path / "held.txt"
+    held.write_text("35\n34 x\n")
+    code = main(["forecast", "--checkpoint", str(trained_dir / "model.shrd"),
+                 "--field", str(modal_dir / "field.fld"), "--horizon", "10",
+                 "--held-out-sensors", str(held), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --held-out-sensors {held}, line 2: '34 x' holds a non-integer sensor index"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -918,6 +949,28 @@ def test_checkpoint_without_scale_restandardizes_field(modal_dir, trained_dir, t
     assert _run_with_extra(modal_dir, trained_dir, tmp_path, "forecast", "scale", scale) == 0
     assert ((tmp_path / "forecast.json").read_bytes()
             == (tmp_path / "stored" / "forecast.json").read_bytes())
+
+
+@pytest.mark.parametrize("scale", [[-4.0, 5.0], None])
+def test_checkpoint_field_holds_the_field_once(tmp_path, scale):
+    # A 2000 x 1000 field is 16 MB as float64; loading and rescaling it may add one block.
+    fld = data.Field(data=np.random.default_rng(31).standard_normal((2000, 1000))
+                     .astype(np.float32).astype(np.float64))
+    data.save_field(fld, tmp_path / "f.fld")
+    extra = {"sensors": [0, 5]} if scale is None else {"sensors": [0, 5], "scale": scale}
+    lo, hi = scale or (fld.data.min(), fld.data.max())
+    want = ((fld.data - lo) / (hi - lo)).tobytes()
+    size = fld.data.nbytes
+    del fld
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got, _ = cli._checkpoint_field(argparse.Namespace(extra=extra), tmp_path / "f.fld")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert got.data.tobytes() == want and got.scale == (lo, hi)
+    assert peak < 1.25 * size
 
 
 def _strict_json(text: str):

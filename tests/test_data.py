@@ -1,5 +1,10 @@
 """Field container, standardization, sensors, windowing, and generators."""
 
+import io
+import os
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -324,6 +329,120 @@ def test_load_field_accepts_float32_extremes(tmp_path):
     fld = Field(data=np.full((300, 200), big), dt_physical=0.5)
     data.save_field(fld, tmp_path / "f.fld")
     assert np.array_equal(data.load_field(tmp_path / "f.fld").data, fld.data)
+
+
+# Around a block of 64 values: a partial last block, T = 1, exact multiples of the block,
+# and single frames wider than a block.
+@pytest.mark.parametrize("shape", [(7, 21), (1, 5), (1, 64), (2, 64), (1, 129), (3, 71)])
+def test_streamed_field_round_trip_at_block_boundaries(tmp_path, monkeypatch, shape):
+    monkeypatch.setattr(data, "IO_BLOCK", 64)
+    fld = _random_field(np.random.default_rng(23), *shape, grid=(shape[1], 1))
+    fld.scale = (-2.0, 3.0)
+    path = tmp_path / "f.fld"
+    data.save_field(fld, path)
+    payload = fld.data.astype("<f4").tobytes()  # the whole-array conversion, as one write
+    assert path.read_bytes().endswith(payload)
+    assert path.stat().st_size == 4 + 4 + 1 + 8 * 2 + 16 + 8 + 1 + 16 + len(payload)
+    back = data.load_field(path)
+    assert back.data.tobytes() == fld.data.tobytes()
+    assert (back.grid_shape, back.scale, back.dt_physical) == ((shape[1], 1), (-2.0, 3.0), 0.25)
+
+
+def test_streamed_field_round_trip_frame_wider_than_the_real_block(tmp_path):
+    fld = _random_field(np.random.default_rng(24), 2, data.IO_BLOCK + 3)
+    data.save_field(fld, tmp_path / "f.fld")
+    assert data.load_field(tmp_path / "f.fld").data.tobytes() == fld.data.tobytes()
+
+
+def test_non_finite_value_in_the_last_block_is_counted(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "IO_BLOCK", 64)
+    fld = _random_field(np.random.default_rng(25), 5, 30)  # 150 values: blocks of 64, 64, 22
+    fld.data[-1, -1] = np.nan
+    fld.data[4, 10] = -np.inf
+    data.save_field(fld, tmp_path / "f.fld")
+    with pytest.raises(data.FieldFormatError,
+                       match=r"^payload holds 2 non-finite values of 150$"):
+        data.load_field(tmp_path / "f.fld")
+
+
+def test_file_cut_in_the_middle_of_a_block(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "IO_BLOCK", 64)
+    path = tmp_path / "f.fld"
+    data.save_field(_random_field(np.random.default_rng(26), 5, 30), path)
+    header = path.stat().st_size - 600
+    path.write_bytes(path.read_bytes()[:header + 4 * 96 + 2])  # half way into the second block
+    with pytest.raises(data.FieldFormatError, match=r"^truncated payload: 386 bytes < 600$"):
+        data.load_field(path)
+
+
+class _ShrinksOnceSized(io.BufferedReader):
+    """A field file cut by 300 bytes right after the reader has taken its size."""
+
+    def seek(self, pos, whence=os.SEEK_SET):
+        end = super().seek(pos, whence)
+        if whence == os.SEEK_END:
+            os.truncate(self.name, end - 300)
+        return end
+
+
+def test_file_that_shrinks_after_its_size_is_read(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "IO_BLOCK", 64)
+    path = tmp_path / "f.fld"
+    data.save_field(_random_field(np.random.default_rng(27), 5, 30), path)
+    monkeypatch.setattr(data, "open", lambda p, mode: _ShrinksOnceSized(io.FileIO(p, mode)),
+                        raising=False)
+    with pytest.raises(data.FieldFormatError,
+                       match=r"^truncated payload: the file shrank while it was read$"):
+        data.load_field(path)
+
+
+def test_load_field_from_a_pipe(tmp_path):
+    fld = _random_field(np.random.default_rng(32), 6, 9, grid=(3, 3))
+    data.save_field(fld, tmp_path / "f.fld")
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=((tmp_path / "f.fld").read_bytes(),))
+    writer.start()
+    try:
+        back = data.load_field(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert back.data.tobytes() == fld.data.tobytes() and back.grid_shape == (3, 3)
+
+
+def test_save_field_converts_one_block_at_a_time(tmp_path):
+    fld = _random_field(np.random.default_rng(28), 2000, 1000)  # 16 MB, 8 blocks
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        data.save_field(fld, tmp_path / "f.fld")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * fld.data.nbytes
+
+
+def test_scale_in_place_is_the_standardize_expression_bit_for_bit():
+    raw = np.random.default_rng(29).standard_normal((40, 30)) * 7.5 + 2.0
+    lo, hi = float(raw.min()), float(raw.max())
+    fld = Field(data=raw.copy())
+    array = fld.data
+    assert data.scale_in_place(fld) is fld and fld.data is array
+    assert fld.data.tobytes() == ((raw - lo) / (hi - lo)).tobytes()
+    assert fld.scale == (lo, hi)
+    fld = Field(data=raw.copy())
+    data.scale_in_place(fld, (-3, 12))
+    assert fld.data.tobytes() == ((raw - -3) / (12 - -3)).tobytes() and fld.scale == (-3, 12)
+
+
+def test_standardize_leaves_its_input_unchanged():
+    raw = np.random.default_rng(30).standard_normal((20, 10))
+    fld = Field(data=raw.copy(), scale=None)
+    out = data.standardize(fld)
+    assert np.array_equal(fld.data, raw) and fld.scale is None
+    assert not np.shares_memory(out.data, fld.data)
+    assert out.data.tobytes() == data.scale_in_place(Field(data=raw.copy())).data.tobytes()
 
 
 # ---------------------------------------------------------------------------
